@@ -1,32 +1,36 @@
-//! Planner scaling benchmark: the constraint-guided planner against the
-//! legacy widening search on rare-dimension catalogs.
+//! Planner scaling benchmark: `QueryEngine::solve` against the
+//! reference whole-catalog search (`solve_reference`) on rare-dimension
+//! catalogs.
 //!
 //! The sweep builds [`planner_catalog`]s of growing size — each zone
 //! dimension lives in ~2 datasets, each metric in ~4, mirroring real
 //! sites where any one query touches a sliver of the catalog — and
-//! times a fixed batch of distinct queries per engine. The legacy
-//! planner saturates and orders every registered dataset per solve, so
-//! its batch time grows linearly with catalog size; the constraint
-//! planner proposes candidates from the (engine-cached) catalog index
-//! and only ever touches datasets a constraint confirms, so its batch
-//! time should be nearly flat.
+//! times a fixed batch of distinct queries per engine. The reference
+//! search saturates and orders every registered dataset per solve, so
+//! its batch time grows linearly with catalog size; `solve` reads its
+//! supplier sets off the (engine-cached) catalog index and only ever
+//! touches datasets reachable from the query, so its batch time should
+//! be nearly flat.
 //!
 //! The run asserts:
 //!
-//! * a parity probe — both planners produce identical plan
+//! * a parity probe — both searches produce identical plan
 //!   fingerprints for every query at every size;
-//! * the constraint planner's growth from the smallest to the largest
-//!   catalog is sub-linear: strictly under half the legacy growth;
-//! * the constraint planner beats legacy outright at the largest size.
+//! * `solve`'s growth from the smallest to the largest catalog is
+//!   sub-linear: strictly under half the reference growth;
+//! * `solve` beats the reference outright at the largest size.
 //!
 //! Results land in `BENCH_planner.json` (committed; CI re-runs the
-//! bench and fails on a >10% regression of the headline speedup).
+//! bench and fails on a >10% regression of the headline speedup). Its
+//! keys keep their historical names: `legacy_*` is the reference
+//! search and `constraint_*` is `solve`.
 //! Custom harness (`harness = false`); does nothing unless `--bench`
 //! is on the command line.
 
 use scrubjay_bench::{bench_ctx, planner_catalog};
 use sjcore::catalog::Catalog;
-use sjcore::engine::{EngineConfig, PlannerKind, Query, QueryEngine, QueryValue};
+use sjcore::engine::{Plan, Query, QueryEngine, QueryValue};
+use sjcore::Result;
 use std::time::Instant;
 
 const SIZES: [usize; 3] = [50, 250, 1000];
@@ -49,22 +53,19 @@ fn batch(n: usize) -> Vec<Query> {
         .collect()
 }
 
+/// One of the two searches under comparison.
+type Search = fn(&QueryEngine<'_>, &Query) -> Result<Plan>;
+
 /// Wall time to solve the whole batch on one engine, in seconds. A
-/// fresh engine per pass means the constraint planner's catalog index
-/// is rebuilt once per batch and amortized across its queries — the
-/// deployment shape (sjserve holds one engine config per catalog
-/// epoch, solving many queries).
-fn batch_secs(catalog: &Catalog, planner: PlannerKind, queries: &[Query]) -> f64 {
+/// fresh engine per pass means `solve`'s catalog index is rebuilt once
+/// per batch and amortized across its queries — the deployment shape
+/// (sjserve holds one engine config per catalog epoch, solving many
+/// queries).
+fn batch_secs(catalog: &Catalog, search: Search, queries: &[Query]) -> f64 {
     let start = Instant::now();
-    let engine = QueryEngine::with_config(
-        catalog,
-        EngineConfig {
-            planner,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = QueryEngine::new(catalog);
     for q in queries {
-        engine.solve(q).expect("bench query must solve");
+        search(&engine, q).expect("bench query must solve");
     }
     start.elapsed().as_secs_f64()
 }
@@ -83,67 +84,62 @@ fn main() {
     }
     let ctx = bench_ctx();
 
-    let mut legacy_best = Vec::new();
-    let mut constraint_best = Vec::new();
+    let reference: Search = |engine, q| engine.solve_reference(q);
+    let solve: Search = |engine, q| engine.solve(q);
+    let mut ref_best = Vec::new();
+    let mut solve_best = Vec::new();
     for &n in &SIZES {
         let catalog = planner_catalog(&ctx, n);
         let queries = batch(n);
 
         // Parity probe before timing anything: identical fingerprints
         // on every query at this size.
-        let fp = |planner: PlannerKind, q: &Query| {
-            QueryEngine::with_config(
-                &catalog,
-                EngineConfig {
-                    planner,
-                    ..EngineConfig::default()
-                },
-            )
-            .solve(q)
-            .expect("parity probe query must solve")
-            .fingerprint()
+        let fp = |search: Search, q: &Query| {
+            search(&QueryEngine::new(&catalog), q)
+                .expect("parity probe query must solve")
+                .fingerprint()
         };
         for q in &queries {
             assert_eq!(
-                fp(PlannerKind::Legacy, q),
-                fp(PlannerKind::Constraint, q),
-                "planners diverged at n={n} on {}",
+                fp(reference, q),
+                fp(solve, q),
+                "searches diverged at n={n} on {}",
                 q.describe()
             );
         }
 
-        let legacy = best(
+        let ref_secs = best(
             (0..EVALS)
-                .map(|_| batch_secs(&catalog, PlannerKind::Legacy, &queries))
+                .map(|_| batch_secs(&catalog, reference, &queries))
                 .collect(),
         );
-        let constraint = best(
+        let solve_secs = best(
             (0..EVALS)
-                .map(|_| batch_secs(&catalog, PlannerKind::Constraint, &queries))
+                .map(|_| batch_secs(&catalog, solve, &queries))
                 .collect(),
         );
         println!(
-            "planner_scaling: n={n}: legacy {legacy:.4}s, constraint {constraint:.4}s \
+            "planner_scaling: n={n}: reference {ref_secs:.4}s, solve {solve_secs:.4}s \
              ({:.2}x) for {QUERIES} queries",
-            legacy / constraint.max(1e-9)
+            ref_secs / solve_secs.max(1e-9)
         );
-        legacy_best.push(legacy);
-        constraint_best.push(constraint);
+        ref_best.push(ref_secs);
+        solve_best.push(solve_secs);
     }
 
-    let legacy_growth = legacy_best[SIZES.len() - 1] / legacy_best[0].max(1e-9);
-    let constraint_growth = constraint_best[SIZES.len() - 1] / constraint_best[0].max(1e-9);
-    let speedup = legacy_best[SIZES.len() - 1] / constraint_best[SIZES.len() - 1].max(1e-9);
+    let ref_growth = ref_best[SIZES.len() - 1] / ref_best[0].max(1e-9);
+    let solve_growth = solve_best[SIZES.len() - 1] / solve_best[0].max(1e-9);
+    let speedup = ref_best[SIZES.len() - 1] / solve_best[SIZES.len() - 1].max(1e-9);
     assert!(
-        constraint_growth < legacy_growth / 2.0,
-        "constraint planner must scale sub-linearly vs legacy \
-         (constraint grew {constraint_growth:.1}x, legacy {legacy_growth:.1}x \
+        solve_growth < ref_growth / 2.0,
+        "solve must scale sub-linearly vs the reference search \
+         (solve grew {solve_growth:.1}x, reference {ref_growth:.1}x \
          over a {}x catalog sweep)",
         SIZES[SIZES.len() - 1] / SIZES[0]
     );
     assert!(
         speedup > 1.0,
-        "constraint planner must beat legacy at n={} ({speedup:.2}x)",
+        "solve must beat the reference search at n={} ({speedup:.2}x)",
         SIZES[SIZES.len() - 1]
     );
 
@@ -158,22 +154,22 @@ fn main() {
          \"queries_per_size\": {QUERIES},\n  \"evals\": {EVALS},\n  \
          \"legacy_batch_best_secs\": [{}],\n  \
          \"constraint_batch_best_secs\": [{}],\n  \
-         \"legacy_growth\": {legacy_growth:.2},\n  \
-         \"constraint_growth\": {constraint_growth:.2},\n  \
+         \"legacy_growth\": {ref_growth:.2},\n  \
+         \"constraint_growth\": {solve_growth:.2},\n  \
          \"speedup\": {speedup:.2},\n  \"parity_probe\": \"pass\"\n}}\n",
         SIZES
             .iter()
             .map(|n| n.to_string())
             .collect::<Vec<_>>()
             .join(", "),
-        fmt_series(&legacy_best),
-        fmt_series(&constraint_best),
+        fmt_series(&ref_best),
+        fmt_series(&solve_best),
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_planner.json");
     std::fs::write(out, &json).expect("write BENCH_planner.json");
     println!(
-        "planner_scaling: {speedup:.2}x at n={}, growth {constraint_growth:.1}x vs \
-         legacy {legacy_growth:.1}x -> BENCH_planner.json",
+        "planner_scaling: {speedup:.2}x at n={}, growth {solve_growth:.1}x vs \
+         reference {ref_growth:.1}x -> BENCH_planner.json",
         SIZES[SIZES.len() - 1]
     );
 }

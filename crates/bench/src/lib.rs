@@ -115,8 +115,8 @@ pub fn synthetic_catalog(ctx: &ExecCtx, n: usize) -> Catalog {
 /// metric dimensions are registered into the dictionary and dataset
 /// `i` records `metric-(i%M)` against zones `i%P` and `(i+1)%P`. Each
 /// zone appears in ~2 datasets and each metric in ~4, which is what
-/// lets a guided planner touch O(relevant) datasets per query while an
-/// exhaustive one still scans all `n`.
+/// lets an index-sliced planner touch O(relevant) datasets per query
+/// while an exhaustive one still scans all `n`.
 pub fn planner_catalog(ctx: &ExecCtx, n: usize) -> Catalog {
     use sjcore::semantics::DimensionDef;
     use sjcore::units::{UnitKind, UnitsDef};

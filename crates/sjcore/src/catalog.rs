@@ -44,28 +44,12 @@ impl std::fmt::Debug for DeriveRule {
     }
 }
 
-/// Measured statistics for one registered dataset, consumed by the
-/// constraint planner's `estimate` step to order candidate datasets by
-/// cost. Collected lazily by [`Catalog::analyze`] — never at
-/// registration time, which must stay evaluation-free — or supplied
-/// externally through [`Catalog::set_stats`] (e.g. by a router that
-/// plans against zero-row schema stubs but knows worker-side counts).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DatasetStats {
-    /// Total row count.
-    pub rows: u64,
-    /// Distinct-value count per domain *dimension* (canonical dimension
-    /// keyword, not column name).
-    pub domain_cardinality: BTreeMap<String, u64>,
-}
-
 /// The ScrubJay knowledge base.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     dict: SemanticDictionary,
     datasets: BTreeMap<String, SjDataset>,
     rules: Vec<DeriveRule>,
-    stats: BTreeMap<String, DatasetStats>,
 }
 
 impl Catalog {
@@ -75,7 +59,6 @@ impl Catalog {
             dict,
             datasets: BTreeMap::new(),
             rules: Vec::new(),
-            stats: BTreeMap::new(),
         }
     }
 
@@ -114,15 +97,13 @@ impl Catalog {
 
     /// Replace the contents of an already-registered dataset, validating
     /// the new version's semantics. Used by streaming ingestion to swap an
-    /// epoch-versioned snapshot in for the previous one; any stats for the
-    /// name are dropped since they described the old contents.
+    /// epoch-versioned snapshot in for the previous one.
     pub fn replace_dataset(&mut self, name: &str, ds: SjDataset) -> Result<()> {
         ds.validate(&self.dict)?;
         if !self.datasets.contains_key(name) {
             return Err(SjError::UnknownKeyword(format!("dataset `{name}`")));
         }
         self.datasets.insert(name.to_string(), ds);
-        self.stats.remove(name);
         Ok(())
     }
 
@@ -151,52 +132,6 @@ impl Catalog {
     /// All registered rules.
     pub fn rules(&self) -> &[DeriveRule] {
         &self.rules
-    }
-
-    /// Statistics for a dataset, if measured or supplied.
-    pub fn stats(&self, name: &str) -> Option<&DatasetStats> {
-        self.stats.get(name)
-    }
-
-    /// Supply statistics for a dataset without evaluating it (the name
-    /// need not be registered yet — a router can seed stats for schema
-    /// stubs whose rows live on workers).
-    pub fn set_stats(&mut self, name: &str, stats: DatasetStats) {
-        self.stats.insert(name.to_string(), stats);
-    }
-
-    /// Measure statistics for every registered dataset that has none
-    /// yet, by evaluating each once (row count + per-domain-dimension
-    /// distinct counts). Returns how many datasets were analyzed.
-    ///
-    /// This is the only catalog operation that touches data; planners
-    /// work purely from schemas and whatever stats are present, so
-    /// calling this is optional — it sharpens the constraint planner's
-    /// estimates but never changes which plans are *found*.
-    pub fn analyze(&mut self) -> Result<usize> {
-        let mut analyzed = 0;
-        for (name, ds) in &self.datasets {
-            if self.stats.contains_key(name) {
-                continue;
-            }
-            let rows = ds.collect()?;
-            let mut domain_cardinality = BTreeMap::new();
-            for field in ds.schema().domain_fields() {
-                let idx = ds.schema().index_of(&field.name)?;
-                let distinct: std::collections::BTreeSet<String> =
-                    rows.iter().map(|r| format!("{:?}", r.get(idx))).collect();
-                domain_cardinality.insert(field.semantics.dimension.clone(), distinct.len() as u64);
-            }
-            self.stats.insert(
-                name.clone(),
-                DatasetStats {
-                    rows: rows.len() as u64,
-                    domain_cardinality,
-                },
-            );
-            analyzed += 1;
-        }
-        Ok(analyzed)
     }
 }
 

@@ -8,12 +8,12 @@
 //! them. The found sequence is a serializable, reproducible [`Plan`]
 //! executed separately (and optionally cached).
 
-pub mod constraint;
 mod plan;
+mod planner;
 mod search;
 
 pub use plan::{Plan, PlanCache};
-pub use search::{EngineConfig, EngineStats, PlannerKind, QueryEngine};
+pub use search::{EngineConfig, EngineStats, QueryEngine};
 
 use crate::error::{Result, SjError};
 use crate::schema::Schema;

@@ -28,6 +28,11 @@
 //! merely a shared instant). The search prefers anchored combinations and
 //! only falls back to time-only joins when no anchored path exists — this
 //! is what pulls the node-layout dataset into the paper's Figure 5 plan.
+//!
+//! [`QueryEngine::solve`] runs this search on the slice of the catalog
+//! the query can reach (see `planner.rs`);
+//! [`QueryEngine::solve_reference`] runs it over the whole catalog and
+//! is kept only as the parity oracle.
 
 use crate::catalog::Catalog;
 use crate::derivations::combine::SharedDomains;
@@ -38,23 +43,6 @@ use crate::schema::Schema;
 use crate::units::UnitKind;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-
-/// Which planning strategy `solve()` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerKind {
-    /// The original shortest-sequence backward-chaining search above
-    /// (greedy cover seed + fixed widening order). Kept as the
-    /// reference implementation for the parity harness and for
-    /// ablation benchmarks.
-    Legacy,
-    /// The constraint-negotiation planner ([`crate::engine::constraint`]):
-    /// a guided depth-first search that binds one semantic variable at
-    /// a time under live cardinality estimates. Scales to catalogs with
-    /// thousands of datasets because it only touches datasets reachable
-    /// from the query's dimensions.
-    #[default]
-    Constraint,
-}
 
 /// Tuning knobs for the search and the plans it emits.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,18 +62,6 @@ pub struct EngineConfig {
     /// returns [`SjError::SearchTruncated`] instead of
     /// [`SjError::NoSolution`].
     pub max_datasets: usize,
-    /// The planning strategy. Both planners produce byte-identical
-    /// results on any catalog where they select the same dataset sets
-    /// (see the parity harness in `tests/planner_parity.rs`).
-    pub planner: PlannerKind,
-    /// Let the constraint planner's `DatasetConstraint::estimate` use the
-    /// per-domain distinct counts measured by [`Catalog::analyze`]
-    /// (`DatasetStats::domain_cardinality`) instead of raw row counts
-    /// when estimating the cost of binding a *domain* variable.
-    /// Statistics sharpen estimates only — binding order — and never
-    /// change which plan is constructed, so flipping this flag leaves
-    /// plans unchanged (see `tests/planner_cardinality.rs`).
-    pub use_domain_cardinality: bool,
 }
 
 impl Default for EngineConfig {
@@ -96,8 +72,6 @@ impl Default for EngineConfig {
             memoize: true,
             allow_unanchored: true,
             max_datasets: 32,
-            planner: PlannerKind::default(),
-            use_domain_cardinality: false,
         }
     }
 }
@@ -114,21 +88,10 @@ pub struct EngineStats {
     pub memo_hits: u64,
     /// Derivation rules applied during saturation.
     pub rules_applied: u64,
-    /// Candidate datasets considered (saturated and examined by a
-    /// planner). The constraint planner only counts datasets reachable
-    /// from the query, so this stays far below catalog size on large
-    /// catalogs.
+    /// Candidate datasets considered (saturated and examined). `solve`
+    /// only counts datasets reachable from the query, so this stays far
+    /// below catalog size on large catalogs.
     pub datasets_considered: usize,
-    /// Semantic variables bound by the constraint planner (0 under the
-    /// legacy planner).
-    pub vars_bound: u64,
-    /// Per-variable cardinality estimates recomputed after `influence`
-    /// invalidation (0 under the legacy planner).
-    pub estimate_refreshes: u64,
-    /// Estimates answered from measured domain cardinalities rather than
-    /// row counts (0 unless `use_domain_cardinality` is on and stats are
-    /// present).
-    pub cardinality_estimates: u64,
 }
 
 /// One candidate in the search: a plan and the schema it would produce.
@@ -170,10 +133,9 @@ pub struct QueryEngine<'c> {
     pair_memo: Mutex<HashMap<(u64, u64, bool), PairEntry>>,
     stats: Mutex<EngineStats>,
     /// Inverted dimension indexes over the catalog's raw schemas, built
-    /// once on the constraint planner's first solve and shared by every
-    /// subsequent query (the catalog is borrowed immutably, so the
-    /// index can never go stale).
-    pub(super) index: std::sync::OnceLock<super::constraint::CatalogIndex>,
+    /// on the first solve and shared by every subsequent query (the
+    /// catalog is borrowed immutably, so the index can never go stale).
+    pub(super) index: std::sync::OnceLock<super::planner::CatalogIndex>,
 }
 
 impl<'c> QueryEngine<'c> {
@@ -218,17 +180,14 @@ impl<'c> QueryEngine<'c> {
     /// [`SjError::SearchTruncated`] (dataset budget hit first).
     pub fn solve(&self, query: &Query) -> Result<Plan> {
         let query = query.canonicalize(self.catalog.dict())?;
-        match self.config.planner {
-            PlannerKind::Legacy => self.solve_legacy(&query),
-            PlannerKind::Constraint => super::constraint::solve(self, &query),
-        }
+        super::planner::solve(self, &query)
     }
 
-    /// Shared feasibility screen over *raw* schemas: queried domain
+    /// Feasibility screen over *raw* schemas: queried domain
     /// dimensions must exist somewhere (combinations never invent domain
     /// dimensions — and no registered rule yields one either), and
     /// queried value dimensions must be recorded or claimed by a rule.
-    pub(super) fn check_feasibility(&self, query: &Query) -> Result<()> {
+    fn check_feasibility(&self, query: &Query) -> Result<()> {
         if self.catalog.datasets().next().is_none() {
             return Err(SjError::NoSolution("catalog is empty".into()));
         }
@@ -264,9 +223,16 @@ impl<'c> QueryEngine<'c> {
         Ok(())
     }
 
-    /// The original §5.2 search: greedy cover seed + fixed widening
-    /// order. `query` must already be canonical.
-    fn solve_legacy(&self, query: &Query) -> Result<Plan> {
+    /// The reference §5.2 search: saturate every catalog dataset, seed
+    /// with the greedy cover, widen in the fixed addition order.
+    ///
+    /// This is the parity oracle for [`solve`](QueryEngine::solve),
+    /// which must return the same plan or the same error on every
+    /// catalog. It costs O(catalog) per query, so no config, flag or
+    /// daemon reaches it; only the parity tests and the planner bench
+    /// call it.
+    pub fn solve_reference(&self, query: &Query) -> Result<Plan> {
+        let query = &query.canonicalize(self.catalog.dict())?;
         let dict = self.catalog.dict();
         self.check_feasibility(query)?;
 
@@ -360,11 +326,7 @@ impl<'c> QueryEngine<'c> {
 
     /// Dimensions the seed set must cover: queried domains plus needed
     /// value dimensions that exist as recorded values somewhere.
-    pub(super) fn coverage_targets(
-        &self,
-        query: &Query,
-        candidates: &[Cand],
-    ) -> Vec<(String, bool)> {
+    fn coverage_targets(&self, query: &Query, candidates: &[Cand]) -> Vec<(String, bool)> {
         let mut targets: Vec<(String, bool)> =
             query.domains.iter().map(|d| (d.clone(), true)).collect();
         for dim in self.needed_closure(query) {
@@ -380,7 +342,7 @@ impl<'c> QueryEngine<'c> {
 
     /// Fold a set of candidates into one combined candidate, greedily
     /// picking a combinable partner at each step (memoized pair tests).
-    pub(super) fn combine_set(
+    fn combine_set(
         &self,
         candidates: &[Cand],
         df: &[usize],
@@ -656,14 +618,16 @@ fn attach_outcome(left: &Cand, right: &Cand, o: &PairOutcome) -> Cand {
 
 /// Greedy set cover over the `allowed` candidate indices: pick candidates
 /// covering the most uncovered targets until all targets are covered
-/// (ties: fewer columns first, then lower index — `allowed` must be
-/// ascending for deterministic results).
+/// (ties: fewer columns first, then the *higher* index, because
+/// `max_by_key` keeps the last maximum — `allowed` must be ascending for
+/// deterministic results). The tie-break is part of the plan: flipping
+/// it changes the plan fingerprints that key result caches and routing.
 ///
 /// Restricting to a subset `S` of the catalog is plan-preserving: when
 /// `S` contains every index the unrestricted cover would pick, the
 /// argmax over `S` sees the same maxima in the same order, so the picks
-/// are identical. This is what lets the constraint planner reuse the
-/// legacy fold shape on the dataset set it selects.
+/// are identical. This is what lets `solve` reuse the reference fold
+/// shape on its supplier universe.
 pub(super) fn greedy_cover(
     schema_of: &dyn Fn(usize) -> Schema,
     targets: &[(String, bool)],
@@ -706,7 +670,8 @@ pub(super) fn greedy_cover(
 /// the sort is stable, so ties stay in ascending-index order).
 ///
 /// Like [`greedy_cover`], restricting `allowed` to a superset of what
-/// the legacy search would actually append preserves the append order.
+/// the reference search would actually append preserves the append
+/// order.
 pub(super) fn addition_order(
     schema_of: &dyn Fn(usize) -> Schema,
     seed: &[usize],
@@ -990,18 +955,19 @@ mod tests {
     fn budget_stop_reports_truncation_not_unsatisfiability() {
         let ctx = ExecCtx::local();
         let cat = dat1_catalog(&ctx);
-        for planner in [PlannerKind::Legacy, PlannerKind::Constraint] {
-            let engine = QueryEngine::with_config(
-                &cat,
-                EngineConfig {
-                    max_datasets: 2,
-                    allow_unanchored: false,
-                    planner,
-                    ..EngineConfig::default()
-                },
-            );
-            // Needs all three datasets, but the budget allows only two.
-            let err = engine.solve(&rack_heat_query()).unwrap_err();
+        let engine = QueryEngine::with_config(
+            &cat,
+            EngineConfig {
+                max_datasets: 2,
+                allow_unanchored: false,
+                ..EngineConfig::default()
+            },
+        );
+        // Needs all three datasets, but the budget allows only two.
+        for err in [
+            engine.solve(&rack_heat_query()).unwrap_err(),
+            engine.solve_reference(&rack_heat_query()).unwrap_err(),
+        ] {
             assert!(
                 matches!(
                     err,
@@ -1010,9 +976,30 @@ mod tests {
                         ..
                     }
                 ),
-                "{planner:?}: {err:?}"
+                "{err:?}"
             );
         }
+    }
+
+    #[test]
+    fn greedy_cover_breaks_ties_toward_fewer_columns_then_higher_index() {
+        let narrow = Schema::new(vec![FieldDef::new(
+            "rack",
+            FieldSemantics::domain("rack", "rack-id"),
+        )])
+        .unwrap();
+        let wide = Schema::new(vec![
+            FieldDef::new("rack", FieldSemantics::domain("rack", "rack-id")),
+            FieldDef::new("aisle", FieldSemantics::domain("aisle", "aisle-name")),
+        ])
+        .unwrap();
+        let targets = [("rack".to_string(), true)];
+        // Three identical candidates: the last maximum wins.
+        let same = |_: usize| narrow.clone();
+        assert_eq!(greedy_cover(&same, &targets, &[0, 1, 2]), vec![2]);
+        // Fewer columns outranks index.
+        let mixed = |i: usize| if i == 0 { narrow.clone() } else { wide.clone() };
+        assert_eq!(greedy_cover(&mixed, &targets, &[0, 1, 2]), vec![0]);
     }
 
     #[test]

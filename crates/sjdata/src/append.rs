@@ -17,7 +17,7 @@
 //!
 //! Every schedule is a pure function of its seed, so the equivalence
 //! suite (`tests/streaming_equivalence.rs`) can replay identical streams
-//! under both planners and both partition representations.
+//! under both partition representations.
 
 use crate::synth::{counters_schema, right_schema};
 use rand::Rng;

@@ -530,68 +530,6 @@ mod tests {
         assert_eq!(all, vec![0]);
     }
 
-    /// Both planner kinds must compute the same reference fingerprint
-    /// from the combined catalog and admit the same local solvers — a
-    /// mixed fleet (router on one planner, workers on the other) would
-    /// otherwise split plan caches and misroute scatter-gather covers.
-    #[test]
-    fn planner_kinds_route_identically() {
-        use sjcore::engine::PlannerKind;
-        let ctx = ctx();
-        let dataset = |name: &str, fields: Vec<FieldDef>| DatasetDesc {
-            name: name.into(),
-            schema_json: serde_json::to_string(&Schema::new(fields).unwrap()).unwrap(),
-        };
-        let layout = || {
-            dataset(
-                "node_layout",
-                vec![
-                    FieldDef::new("node", FieldSemantics::domain("compute-node", "node-id")),
-                    FieldDef::new("rack", FieldSemantics::domain("rack", "rack-id")),
-                ],
-            )
-        };
-        let temps = dataset(
-            "rack_temps",
-            vec![
-                FieldDef::new("rack", FieldSemantics::domain("rack", "rack-id")),
-                FieldDef::new("time", FieldSemantics::domain("time", "datetime")),
-                FieldDef::new("temp", FieldSemantics::value("temperature", "celsius")),
-            ],
-        );
-        let topo = Topology::new(vec!["a:1".into(), "b:2".into()]);
-        // Worker 0 holds the full cover; worker 1 only the layout.
-        topo.refresh(0, info("w0", 1, vec![layout(), temps]), &ctx);
-        topo.refresh(1, info("w1", 1, vec![layout()]), &ctx);
-        let query = Query {
-            domains: vec!["compute-node".into()],
-            values: vec![sjcore::engine::QueryValue {
-                dimension: "temperature".into(),
-                units: None,
-            }],
-        };
-        let run = |planner: PlannerKind| {
-            let cfg = EngineConfig {
-                planner,
-                ..EngineConfig::default()
-            };
-            let planning = topo.planning();
-            let reference = QueryEngine::with_config(&planning.catalog, cfg.clone())
-                .solve(&query)
-                .unwrap()
-                .fingerprint();
-            drop(planning);
-            let (live, all) = topo.local_solvers(&query, &cfg, reference, "k");
-            (reference, live, all)
-        };
-        let legacy = run(PlannerKind::Legacy);
-        let constraint = run(PlannerKind::Constraint);
-        assert_eq!(legacy, constraint, "planners routed differently");
-        // And the routing decision itself is the expected one: only the
-        // worker holding the whole cover plan-matches.
-        assert_eq!(legacy.2, vec![0]);
-    }
-
     #[test]
     fn success_resets_failures_but_not_health() {
         let ctx = ctx();

@@ -137,17 +137,11 @@ pub struct StatsReport {
     /// Planner pair tests answered from the memo.
     #[serde(default)]
     pub planner_memo_hits: u64,
-    /// Candidate datasets the planner examined (the constraint planner
-    /// only touches datasets reachable from the query's dimensions, so
-    /// this stays far below catalog size × solves on large catalogs).
+    /// Candidate datasets the planner examined (it only touches
+    /// datasets reachable from the query's dimensions, so this stays far
+    /// below catalog size × solves on large catalogs).
     #[serde(default)]
     pub planner_datasets_considered: u64,
-    /// Semantic variables bound by the constraint planner.
-    #[serde(default)]
-    pub planner_vars_bound: u64,
-    /// Per-variable estimates recomputed after `influence` invalidation.
-    #[serde(default)]
-    pub planner_estimate_refreshes: u64,
     /// Solves stopped by the `max_datasets` budget (answered with the
     /// retryable `search_truncated` error code).
     #[serde(default)]
@@ -282,12 +276,10 @@ impl StatsReport {
         ));
         out.push_str(&format!(
             "planner: {} datasets considered, {} pair tests ({} memo hits), \
-             {} vars bound, {} estimate refreshes, {} searches truncated\n",
+             {} searches truncated\n",
             self.planner_datasets_considered,
             self.planner_pair_tests,
             self.planner_memo_hits,
-            self.planner_vars_bound,
-            self.planner_estimate_refreshes,
             self.searches_truncated
         ));
         out.push_str(&format!(
@@ -464,8 +456,6 @@ pub struct ServiceMetrics {
     planner_pair_tests: AtomicU64,
     planner_memo_hits: AtomicU64,
     planner_datasets_considered: AtomicU64,
-    planner_vars_bound: AtomicU64,
-    planner_estimate_refreshes: AtomicU64,
     searches_truncated: AtomicU64,
     traces_recorded: AtomicU64,
     trace_spans_recorded: AtomicU64,
@@ -497,8 +487,6 @@ impl Default for ServiceMetrics {
             planner_pair_tests: AtomicU64::new(0),
             planner_memo_hits: AtomicU64::new(0),
             planner_datasets_considered: AtomicU64::new(0),
-            planner_vars_bound: AtomicU64::new(0),
-            planner_estimate_refreshes: AtomicU64::new(0),
             searches_truncated: AtomicU64::new(0),
             traces_recorded: AtomicU64::new(0),
             trace_spans_recorded: AtomicU64::new(0),
@@ -572,10 +560,6 @@ impl ServiceMetrics {
             .fetch_add(stats.memo_hits, Ordering::Relaxed);
         self.planner_datasets_considered
             .fetch_add(stats.datasets_considered as u64, Ordering::Relaxed);
-        self.planner_vars_bound
-            .fetch_add(stats.vars_bound, Ordering::Relaxed);
-        self.planner_estimate_refreshes
-            .fetch_add(stats.estimate_refreshes, Ordering::Relaxed);
     }
 
     /// A solve was stopped by its dataset budget.
@@ -726,8 +710,6 @@ impl ServiceMetrics {
             planner_pair_tests: self.planner_pair_tests.load(Ordering::Relaxed),
             planner_memo_hits: self.planner_memo_hits.load(Ordering::Relaxed),
             planner_datasets_considered: self.planner_datasets_considered.load(Ordering::Relaxed),
-            planner_vars_bound: self.planner_vars_bound.load(Ordering::Relaxed),
-            planner_estimate_refreshes: self.planner_estimate_refreshes.load(Ordering::Relaxed),
             searches_truncated: self.searches_truncated.load(Ordering::Relaxed),
             traces_recorded: self.traces_recorded.load(Ordering::Relaxed),
             trace_spans_recorded: self.trace_spans_recorded.load(Ordering::Relaxed),

@@ -13,15 +13,16 @@
 //! On either transport, malformed *payloads* get a structured
 //! `bad_request` error instead of a dropped connection, so a client
 //! with one bad message does not lose its pipeline. Broken *framing*
-//! (bad magic, corrupt CRC, oversized length) gets a structured error
-//! and then the connection is closed — once framing is suspect there is
-//! no safe resync point.
+//! (bad magic, corrupt CRC, oversized length, a JSON line longer than
+//! [`sjwire::MAX_FRAME_BYTES`]) gets a structured error and then the
+//! connection is closed — once framing is suspect there is no safe
+//! resync point.
 //!
 //! A `shutdown` request acknowledges, then stops the accept loop, the
 //! worker pool, and dumps the final metrics snapshot to stderr — the
 //! service equivalent of a batch tool printing its summary on exit.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -30,7 +31,7 @@ use std::time::Duration;
 use crate::protocol::{codes, ErrorBody, Request, Response, Verb, WireInfo, PROTO_VERSION};
 use crate::service::QueryService;
 use crate::wire::{decode_request, encode_response};
-use sjwire::{negotiate, read_frame, write_frame, Hello, MsgType, WireError};
+use sjwire::{negotiate, read_frame, write_frame, Hello, MsgType, WireError, MAX_FRAME_BYTES};
 
 /// Where unsolicited frames (standing-query window emissions) for one
 /// connection are pushed. The TCP front end hands every connection's
@@ -265,7 +266,7 @@ fn handle_json_connection<H: RequestHandler>(
     service: H,
     shutdown: Arc<AtomicBool>,
 ) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
@@ -280,15 +281,32 @@ fn handle_json_connection<H: RequestHandler>(
         wire_version: PROTO_VERSION,
         codec: sjwire::CODEC_JSON_LINES.into(),
     };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client went away
-        };
-        if line.trim().is_empty() {
+    loop {
+        let mut line = Vec::new();
+        // Read at most one byte past the cap, so a line that never ends
+        // cannot grow this buffer without bound.
+        match reader
+            .by_ref()
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => break, // client went away
+            Ok(_) => {}
+        }
+        if line.len() > MAX_FRAME_BYTES && line.last() != Some(&b'\n') {
+            let _ = sink.send(&Response::fail(
+                "",
+                ErrorBody::new(
+                    codes::BAD_REQUEST,
+                    format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
+                ),
+            ));
+            break;
+        }
+        if line.trim_ascii().is_empty() {
             continue;
         }
-        let response = match serde_json::from_str::<Request>(&line) {
+        let response = match serde_json::from_slice::<Request>(&line) {
             Ok(request) => {
                 service.protocol_request(false);
                 let verb = request.verb;

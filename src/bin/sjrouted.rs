@@ -23,7 +23,7 @@
 //! sjrouted --partition OUT_DIR --data SRC_DIR --shards N [--replicas R]
 //! ```
 
-use sjcore::engine::{EngineConfig, PlannerKind};
+use sjcore::engine::EngineConfig;
 use sjroute::{partition_dir, Router, RouterConfig};
 use sjserve::scheduler::SchedulerConfig;
 use sjserve::server::serve;
@@ -42,7 +42,6 @@ struct Args {
     limit: usize,
     window_secs: f64,
     step_secs: f64,
-    planner: PlannerKind,
     partition: Option<String>,
     data: String,
     shards: usize,
@@ -76,9 +75,6 @@ SERVE OPTIONS:
                     must match the workers' --window (default 120)
   --step SECS       explode-continuous step; must match the workers'
                     --step (default 60)
-  --planner KIND    derivation planner for routing-level plans:
-                    constraint (default) or legacy; must match the
-                    workers' --planner so plan fingerprints agree
 
 PARTITION OPTIONS:
   --partition DIR   write per-shard catalog directories DIR/shard-K/
@@ -105,7 +101,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         limit: 1000,
         window_secs: 120.0,
         step_secs: 60.0,
-        planner: PlannerKind::default(),
         partition: None,
         data: String::new(),
         shards: 0,
@@ -148,13 +143,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--limit" => args.limit = num("--limit", value("--limit")?)?,
             "--window" => args.window_secs = num("--window", value("--window")?)?,
             "--step" => args.step_secs = num("--step", value("--step")?)?,
-            "--planner" => {
-                args.planner = match value("--planner")?.as_str() {
-                    "constraint" => PlannerKind::Constraint,
-                    "legacy" => PlannerKind::Legacy,
-                    other => return Err(format!("bad --planner: `{other}` (constraint|legacy)")),
-                }
-            }
             "--partition" => args.partition = Some(value("--partition")?),
             "--data" => args.data = value("--data")?,
             "--shards" => args.shards = num("--shards", value("--shards")?)?,
@@ -211,7 +199,6 @@ fn run_serve(args: &Args) -> Result<(), String> {
         engine: EngineConfig {
             interp_window_secs: args.window_secs,
             explode_step_secs: args.step_secs,
-            planner: args.planner,
             ..EngineConfig::default()
         },
         default_limit: args.limit,
@@ -305,21 +292,6 @@ mod tests {
         assert!(parse_args(&argv("--partition /tmp/out --data d")).is_err());
         assert!(parse_args(&argv("--partition /tmp/out --data d --shards 0")).is_err());
         assert!(parse_args(&argv("--partition /tmp/out --data d --shards 2")).is_ok());
-    }
-
-    #[test]
-    fn parses_planner_selection() {
-        assert_eq!(
-            parse_args(&argv("--workers a:1")).unwrap().planner,
-            PlannerKind::Constraint
-        );
-        assert_eq!(
-            parse_args(&argv("--workers a:1 --planner legacy"))
-                .unwrap()
-                .planner,
-            PlannerKind::Legacy
-        );
-        assert!(parse_args(&argv("--workers a:1 --planner greedy")).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use scrubjay::catalog_io::load_catalog_dir;
 use scrubjay::prelude::*;
-use sjcore::engine::{EngineConfig, PlannerKind};
+use sjcore::engine::EngineConfig;
 use sjserve::{serve_until_shutdown, QueryService, SchedulerConfig, ServiceConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -37,7 +37,6 @@ struct Args {
     trace_dir: Option<String>,
     trace_slow_ms: u64,
     shard_id: Option<String>,
-    planner: PlannerKind,
     stream_window_secs: f64,
     allowed_lateness_secs: f64,
     stream_horizon_secs: f64,
@@ -85,9 +84,6 @@ OPTIONS:
   --shard-id NAME   label this worker's catalog shard; reported in
                     health responses so a router (sjrouted) and humans
                     can tell shards apart
-  --planner KIND    derivation planner: constraint (default) or legacy;
-                    both produce identical plans — legacy exists as an
-                    escape hatch and parity reference
   --stream-window SECS
                     tumbling-window width for standing queries
                     (default 60)
@@ -136,7 +132,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_dir: None,
         trace_slow_ms: 1000,
         shard_id: None,
-        planner: PlannerKind::default(),
         stream_window_secs: 60.0,
         allowed_lateness_secs: 120.0,
         stream_horizon_secs: 300.0,
@@ -179,13 +174,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.trace_slow_ms = num("--trace-slow-ms", value("--trace-slow-ms")?)?
             }
             "--shard-id" => args.shard_id = Some(value("--shard-id")?),
-            "--planner" => {
-                args.planner = match value("--planner")?.as_str() {
-                    "constraint" => PlannerKind::Constraint,
-                    "legacy" => PlannerKind::Legacy,
-                    other => return Err(format!("bad --planner: `{other}` (constraint|legacy)")),
-                }
-            }
             "--stream-window" => {
                 args.stream_window_secs = num("--stream-window", value("--stream-window")?)?
             }
@@ -249,7 +237,6 @@ fn run(args: &Args) -> Result<(), String> {
         engine: EngineConfig {
             interp_window_secs: args.window_secs,
             explode_step_secs: args.step_secs,
-            planner: args.planner,
             ..EngineConfig::default()
         },
         retry: Some(sjdf::RetryPolicy::retries(args.retries)),
@@ -362,28 +349,6 @@ mod tests {
         assert_eq!(args.shard_id.as_deref(), Some("shard-a"));
         assert_eq!(parse_args(&argv("--data d")).unwrap().shard_id, None);
         assert!(parse_args(&argv("--data d --shard-id")).is_err());
-    }
-
-    #[test]
-    fn parses_planner_selection() {
-        assert_eq!(
-            parse_args(&argv("--data d")).unwrap().planner,
-            PlannerKind::Constraint
-        );
-        assert_eq!(
-            parse_args(&argv("--data d --planner legacy"))
-                .unwrap()
-                .planner,
-            PlannerKind::Legacy
-        );
-        assert_eq!(
-            parse_args(&argv("--data d --planner constraint"))
-                .unwrap()
-                .planner,
-            PlannerKind::Constraint
-        );
-        assert!(parse_args(&argv("--data d --planner greedy")).is_err());
-        assert!(parse_args(&argv("--data d --planner")).is_err());
     }
 
     #[test]

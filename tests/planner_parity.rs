@@ -1,89 +1,92 @@
-//! Planner parity: the constraint-guided planner must be
-//! plan-for-plan identical to the legacy widening search.
+//! Planner parity: `QueryEngine::solve` must be plan-for-plan
+//! identical to `QueryEngine::solve_reference`, the §5.2 search over
+//! the whole catalog.
 //!
-//! The legacy planner is the reference semantics — every plan it finds
-//! is correct by the existing test corpus — so the constraint planner
-//! ships under one obligation: *byte-identical results and equal plan
-//! fingerprints on every query the legacy planner answers, and the
-//! same structured error on every query it cannot*. Fingerprints key
-//! the result caches in sjserve and the routing tables in sjroute, so
+//! The reference search is the semantics — every plan it finds is
+//! correct by the existing test corpus — so the production planner,
+//! which runs the same search on the slice of the catalog the query can
+//! reach, ships under one obligation: *byte-identical results and equal
+//! plan fingerprints on every query the reference answers, and the same
+//! structured error on every query it cannot*. Fingerprints key the
+//! result caches in sjserve and the routing tables in sjroute, so
 //! "mostly the same plan" would silently split caches and misroute
-//! scatter-gather covers; this harness is what makes the planner swap
-//! a no-op for every layer above the engine.
+//! scatter-gather covers.
 //!
-//! The fixtures double as the golden robustness corpus: synonym and
-//! homonym near-misses (datasets that *look* relevant but must not be
-//! planned in) and heavy row skew (plans are schema-only, so data
-//! distribution — with or without collected statistics — must never
-//! change a plan).
+//! The hand-built fixtures double as the golden robustness corpus:
+//! synonym and homonym near-misses (datasets that *look* relevant but
+//! must not be planned in) and heavy row skew (plans are schema-only,
+//! so data distribution must never change a plan). A seeded sweep over
+//! random catalogs drawn from the DAT datasets covers the rest.
 
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use scrubjay::prelude::*;
-use sjcore::engine::PlannerKind;
 use sjcore::SjError;
 use sjdf::ExecCtx as Ctx;
 
-fn engine(catalog: &Catalog, planner: PlannerKind) -> QueryEngine<'_> {
-    QueryEngine::with_config(
-        catalog,
-        EngineConfig {
-            planner,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// Solve with both planners and require identical outcomes: equal plan
-/// fingerprint, JSON tree, and executed rows on success, or the same
-/// error rendering on failure. Returns the shared plan when one exists.
-fn assert_parity(catalog: &Catalog, query: &Query) -> Option<Plan> {
-    let legacy = engine(catalog, PlannerKind::Legacy).solve(query);
-    let constraint = engine(catalog, PlannerKind::Constraint).solve(query);
-    match (legacy, constraint) {
-        (Ok(l), Ok(c)) => {
+/// Solve with `solve` and `solve_reference`, each on its own engine so
+/// no pair memo is shared, and require identical outcomes: equal plan
+/// fingerprint and JSON tree on success, or the same error rendering on
+/// failure. Returns the (reference, solve) plan pair or the shared error.
+fn parity_outcome(
+    catalog: &Catalog,
+    config: &EngineConfig,
+    query: &Query,
+) -> Result<(Plan, Plan), SjError> {
+    let reference = QueryEngine::with_config(catalog, config.clone()).solve_reference(query);
+    let solved = QueryEngine::with_config(catalog, config.clone()).solve(query);
+    match (reference, solved) {
+        (Ok(r), Ok(s)) => {
             assert_eq!(
-                l.fingerprint(),
-                c.fingerprint(),
-                "plan fingerprints diverged for {}:\nlegacy: {}\nconstraint: {}",
+                r.fingerprint(),
+                s.fingerprint(),
+                "plan fingerprints diverged for {}:\nreference: {}\nsolve: {}",
                 query.describe(),
-                l.describe(),
-                c.describe()
+                r.describe(),
+                s.describe()
             );
-            assert_eq!(l.to_json(), c.to_json(), "plan trees diverged");
-            let lhs: Vec<String> = l
-                .execute(catalog, None)
-                .unwrap()
-                .collect()
-                .unwrap()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            let rhs: Vec<String> = c
-                .execute(catalog, None)
-                .unwrap()
-                .collect()
-                .unwrap()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            assert_eq!(lhs, rhs, "executed rows diverged for {}", query.describe());
-            Some(l)
+            assert_eq!(r.to_json(), s.to_json(), "plan trees diverged");
+            Ok((r, s))
         }
-        (Err(le), Err(ce)) => {
+        (Err(re), Err(se)) => {
             assert_eq!(
-                le.to_string(),
-                ce.to_string(),
+                re.to_string(),
+                se.to_string(),
                 "error renderings diverged for {}",
                 query.describe()
             );
-            None
+            Err(se)
         }
-        (l, c) => panic!(
-            "planners disagree on solvability of {}:\nlegacy: {:?}\nconstraint: {:?}",
+        (r, s) => panic!(
+            "planners disagree on solvability of {}:\nreference: {:?}\nsolve: {:?}",
             query.describe(),
-            l.map(|p| p.describe()),
-            c.map(|p| p.describe())
+            r.map(|p| p.describe()),
+            s.map(|p| p.describe())
         ),
     }
+}
+
+/// [`parity_outcome`] under the default config, plus byte-identical
+/// executed rows on success. Returns the shared plan when one exists.
+fn assert_parity(catalog: &Catalog, query: &Query) -> Option<Plan> {
+    let (reference, plan) = parity_outcome(catalog, &EngineConfig::default(), query).ok()?;
+    let rows = |p: &Plan| -> Vec<String> {
+        p.execute(catalog, None)
+            .unwrap()
+            .collect()
+            .unwrap()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect()
+    };
+    assert_eq!(
+        rows(&reference),
+        rows(&plan),
+        "executed rows diverged for {}",
+        query.describe()
+    );
+    Some(plan)
 }
 
 fn node_temp_dataset(ctx: &Ctx, field: &str, units: &str, rows: usize, base: f64) -> SjDataset {
@@ -245,14 +248,23 @@ fn dat1_corpus_plans_and_rows_agree() {
 /// Identifier chain node -> rack -> cpu -> socket with a power sensor
 /// on the far end; relating `node` to `power` needs every link.
 fn chain_catalog(ctx: &Ctx) -> Catalog {
+    chain_catalog_over(
+        ctx,
+        &[
+            ("compute-node", "node-id"),
+            ("rack", "rack-id"),
+            ("cpu", "cpu-id"),
+            ("socket", "socket-id"),
+        ],
+    )
+}
+
+/// An identifier chain over `dims` (`link{i}` joins dims `i` and
+/// `i + 1`) with a power sensor on the last dimension, which must be
+/// `socket`.
+fn chain_catalog_over(ctx: &Ctx, dims: &[(&str, &str)]) -> Catalog {
     let mut catalog = Catalog::default_hpc();
-    let dims = [
-        ("compute-node", "node-id"),
-        ("rack", "rack-id"),
-        ("cpu", "cpu-id"),
-        ("socket", "socket-id"),
-    ];
-    for i in 0..3 {
+    for i in 0..dims.len() - 1 {
         let (d1, u1) = dims[i];
         let (d2, u2) = dims[i + 1];
         let schema = Schema::new(vec![
@@ -322,6 +334,36 @@ fn chain_covers_agree_across_planners() {
     )
     .unwrap();
     assert_eq!(plan.loads().len(), 4);
+}
+
+/// Ring 2 of the widening: in the chain node -> rack -> aisle -> cpu ->
+/// socket, the seed is the node–rack link plus the power sensor, so the
+/// aisle–cpu link shares no dimension with it and is reached only after
+/// ring 1 runs out. With two identical copies of that link, the plan
+/// must take the lower-index copy, as the reference addition order does.
+#[test]
+fn ring2_bridges_widen_in_index_order() {
+    let ctx = ExecCtx::local();
+    let mut catalog = chain_catalog_over(
+        &ctx,
+        &[
+            ("compute-node", "node-id"),
+            ("rack", "rack-id"),
+            ("aisle", "aisle-name"),
+            ("cpu", "cpu-id"),
+            ("socket", "socket-id"),
+        ],
+    );
+    let copy = catalog.dataset("link2").unwrap().clone();
+    catalog.register_dataset("link2_copy", copy).unwrap();
+    let plan = assert_parity(
+        &catalog,
+        &Query::new(["node"], vec![QueryValue::dim("power")]),
+    )
+    .unwrap();
+    let mut loads = plan.loads();
+    loads.sort();
+    assert_eq!(loads, ["link0", "link1", "link2", "link3", "power_meter"]);
 }
 
 /// Golden near-miss: `degrees-celsius` is a dictionary synonym for
@@ -415,63 +457,52 @@ fn homonym_near_miss_is_never_planned_in() {
 }
 
 /// Golden skew: one rack holds 80% of the temperature rows. Plans are
-/// schema-only, so the skew must change neither planner's plan — and
-/// collecting statistics (which the constraint planner's estimates
-/// consume) must sharpen costs without ever changing the plan.
+/// schema-only, so data statistics such as this skew must never change
+/// a plan: the skewed catalog plans exactly like an evenly spread one
+/// with the same schemas, on both planners.
 #[test]
 fn row_skew_and_statistics_never_change_the_plan() {
     let ctx = ExecCtx::local();
-    let mut catalog = dat1_catalog(&ctx);
+    let base = dat1_catalog(&ctx);
     let temps_schema = Schema::new(vec![
         FieldDef::new("rack", FieldSemantics::domain("rack", "rack-id")),
         FieldDef::new("time", FieldSemantics::domain("time", "datetime")),
         FieldDef::new("temp", FieldSemantics::value("temperature", "celsius")),
     ])
     .unwrap();
-    // 80 of 100 rows on rack17, the rest spread thin.
-    let mut rows = Vec::new();
-    for k in 0..100i64 {
-        let rack = if k < 80 {
-            "rack17".to_string()
-        } else {
-            format!("rack{}", 18 + k % 4)
-        };
-        rows.push(Row::new(vec![
-            Value::str(rack),
-            Value::Time(Timestamp::from_secs(30 * k)),
-            Value::Float(20.0 + (k % 7) as f64),
-        ]));
-    }
-    // Replace the balanced fixture with the skewed one under a fresh
-    // name so the catalog keeps exactly one temperature supplier per
-    // units.
-    let mut skewed = Catalog::default_hpc();
-    for (name, ds) in catalog.datasets() {
-        if name != "rack_temps" {
-            skewed.register_dataset(name, ds.clone()).unwrap();
+    // Swap the fixture's rack temperatures for 100 rows, either spread
+    // evenly over five racks or with 80 of them on rack17.
+    let with_temps = |skewed: bool| {
+        let rows: Vec<Row> = (0..100i64)
+            .map(|k| {
+                let rack = if skewed && k < 80 { 17 } else { 17 + k % 5 };
+                Row::new(vec![
+                    Value::str(format!("rack{rack}")),
+                    Value::Time(Timestamp::from_secs(30 * k)),
+                    Value::Float(20.0 + (k % 7) as f64),
+                ])
+            })
+            .collect();
+        let mut catalog = Catalog::default_hpc();
+        for (name, ds) in base.datasets() {
+            if name != "rack_temps" {
+                catalog.register_dataset(name, ds.clone()).unwrap();
+            }
         }
-    }
-    skewed
-        .register_dataset(
-            "rack_temps",
-            SjDataset::from_rows(&ctx, rows, temps_schema, "rack_temps", 1),
-        )
-        .unwrap();
-    catalog = skewed;
+        catalog
+            .register_dataset(
+                "rack_temps",
+                SjDataset::from_rows(&ctx, rows, temps_schema.clone(), "rack_temps", 1),
+            )
+            .unwrap();
+        catalog
+    };
 
     let query = Query::new(["job", "rack"], vec![QueryValue::dim("temperature")]);
-    let before = assert_parity(&catalog, &query).unwrap();
-
-    // Statistics sharpen the constraint planner's estimates; they must
-    // never alter the chosen plan.
-    let analyzed = catalog.analyze().unwrap();
-    assert!(analyzed >= 3, "all datasets should gain statistics");
-    let stats = catalog.stats("rack_temps").unwrap();
-    assert_eq!(stats.rows, 100);
-    assert_eq!(stats.domain_cardinality.get("rack"), Some(&5));
-    let after = assert_parity(&catalog, &query).unwrap();
-    assert_eq!(before.fingerprint(), after.fingerprint());
-    assert_eq!(before.to_json(), after.to_json());
+    let even = assert_parity(&with_temps(false), &query).unwrap();
+    let skewed = assert_parity(&with_temps(true), &query).unwrap();
+    assert_eq!(even.fingerprint(), skewed.fingerprint());
+    assert_eq!(even.to_json(), skewed.to_json());
 }
 
 /// Budget truncation renders identically through both planners. The
@@ -487,25 +518,119 @@ fn truncation_errors_agree_across_planners() {
         max_datasets: 2,
         ..EngineConfig::default()
     };
-    let run = |planner| {
-        QueryEngine::with_config(
-            &catalog,
-            EngineConfig {
-                planner,
-                ..config.clone()
-            },
-        )
-        .solve(&query)
-        .unwrap_err()
-    };
-    let legacy = run(PlannerKind::Legacy);
-    let constraint = run(PlannerKind::Constraint);
+    let err = parity_outcome(&catalog, &config, &query).unwrap_err();
     assert!(matches!(
-        legacy,
+        err,
         SjError::SearchTruncated {
             max_datasets: 2,
             ..
         }
     ));
-    assert_eq!(legacy.to_string(), constraint.to_string());
+}
+
+/// The datasets the random sweep draws from: every dataset of a small
+/// DAT1 and DAT2 — job logs, layout, rack sensors, PAPI counters (with
+/// `aperf`/`mperf`, so the rate and active-frequency rules fire), IPMI,
+/// CPU specs and LDMS.
+fn dat_pool(ctx: &Ctx) -> Vec<SjDataset> {
+    let (dat1, _) = sjdata::dat1(
+        ctx,
+        &sjdata::Dat1Config {
+            racks: 3,
+            nodes_per_rack: 2,
+            amg_rack_index: 1,
+            amg_nodes: 2,
+            background_jobs: 1,
+            duration_secs: 900,
+            partitions: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let (dat2, _) = sjdata::dat2(
+        ctx,
+        &sjdata::Dat2Config {
+            cpus_per_node: 2,
+            run_secs: 60,
+            gap_secs: 10,
+            sample_interval_secs: 10.0,
+            partitions: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    dat1.datasets()
+        .chain(dat2.datasets())
+        .map(|(_, ds)| ds.clone())
+        .collect()
+}
+
+/// Seeded random-catalog sweep: 400 catalogs, each a draw with
+/// replacement of one to six pool datasets registered under shuffled
+/// names (so catalog order, ties between identical schemas and rule
+/// hosts all vary), and six random queries per catalog over the drawn
+/// datasets' domain and value dimensions plus rule-derived values,
+/// under a dataset budget of 2, 3 or 32. Every query must get the same
+/// plan JSON or the same error text.
+#[test]
+fn random_catalogs_plan_identically() {
+    let ctx = ExecCtx::local();
+    let pool = dat_pool(&ctx);
+    let derived = [
+        QueryValue::dim("heat"),
+        QueryValue::dim("frequency"),
+        QueryValue::with_units("instructions", "instructions-per-ms"),
+        QueryValue::with_units("memory-reads", "memory-reads-per-ms"),
+        QueryValue::with_units("temperature", "fahrenheit"),
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5C8B_2017);
+    let (mut solved, mut unsolvable, mut truncated) = (0usize, 0usize, 0usize);
+    for _ in 0..400 {
+        let mut slots: Vec<usize> = (0..rng.gen_range(1..=6)).collect();
+        slots.shuffle(&mut rng);
+        let mut catalog = Catalog::default_hpc();
+        let mut domains: Vec<String> = Vec::new();
+        let mut values: Vec<QueryValue> = derived.to_vec();
+        for slot in slots {
+            let ds = pool.choose(&mut rng).unwrap();
+            for f in ds.schema().domain_fields() {
+                domains.push(f.semantics.dimension.clone());
+            }
+            for f in ds.schema().value_fields() {
+                values.push(QueryValue::dim(&f.semantics.dimension));
+            }
+            catalog
+                .register_dataset(&format!("ds{slot}"), ds.clone())
+                .unwrap();
+        }
+        for _ in 0..6 {
+            let mut query_domains: Vec<String> = (0..rng.gen_range(1..=2))
+                .map(|_| domains.choose(&mut rng).unwrap().clone())
+                .collect();
+            query_domains.sort();
+            query_domains.dedup();
+            let mut query_values: Vec<QueryValue> = (0..rng.gen_range(1..=2))
+                .map(|_| values.choose(&mut rng).unwrap().clone())
+                .collect();
+            query_values.dedup();
+            let query = Query {
+                domains: query_domains,
+                values: query_values,
+            };
+            let config = EngineConfig {
+                max_datasets: *[2, 3, 32].choose(&mut rng).unwrap(),
+                ..EngineConfig::default()
+            };
+            match parity_outcome(&catalog, &config, &query) {
+                Ok(_) => solved += 1,
+                Err(SjError::SearchTruncated { .. }) => truncated += 1,
+                Err(_) => unsolvable += 1,
+            }
+        }
+    }
+    // The sweep must reach every outcome, or it proves little.
+    assert!(
+        solved > 0 && unsolvable > 0 && truncated > 0,
+        "degenerate sweep: {solved} solved, {unsolvable} unsolvable, {truncated} truncated"
+    );
 }

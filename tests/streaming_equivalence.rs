@@ -2,8 +2,7 @@
 //! guarantee): for each of five seeded disarray append schedules, every
 //! window a standing query emits must be **byte-identical** to solving
 //! the same query from scratch over the full accepted prefix at that
-//! emission's watermark — under both planners and both partition
-//! representations.
+//! emission's watermark — under both partition representations.
 //!
 //! The cold reference re-executes the standing plan over the entire
 //! accepted prefix ([`StreamEngine::cold_window`]); the emission was
@@ -11,7 +10,7 @@
 //! proves the incremental maintenance path (slice evaluation + cached
 //! windows + tag invalidation) loses nothing relative to batch solving.
 
-use sjcore::engine::{EngineConfig, PlannerKind, Query, QueryValue};
+use sjcore::engine::{EngineConfig, Query, QueryValue};
 use sjdata::{disarray_schedule, stream_catalog, Disarray};
 use sjdf::ExecCtx;
 use sjstream::{StreamConfig, StreamEngine};
@@ -43,23 +42,19 @@ fn stream_config() -> StreamConfig {
 
 /// Replay one schedule and assert equivalence on every emission.
 /// Returns (emissions, re_emissions).
-fn run_schedule(kind: Disarray, planner: PlannerKind, rowwise: bool) -> (usize, usize) {
+fn run_schedule(kind: Disarray, rowwise: bool) -> (usize, usize) {
     let ctx = if rowwise {
         ExecCtx::local().with_rowwise()
     } else {
         ExecCtx::local()
     };
     let catalog = stream_catalog(&ctx).expect("stream catalog");
-    let engine_config = EngineConfig {
-        planner,
-        ..EngineConfig::default()
-    };
-    let mut engine = StreamEngine::new(&ctx, catalog, stream_config(), engine_config);
+    let mut engine = StreamEngine::new(&ctx, catalog, stream_config(), EngineConfig::default());
     engine
         .subscribe("q-equiv", "tenant-a", &standing_query())
         .expect("subscribe");
 
-    let label = format!("{} planner={planner:?} rowwise={rowwise}", kind.name());
+    let label = format!("{} rowwise={rowwise}", kind.name());
     let (mut emissions, mut re_emissions) = (0usize, 0usize);
     for (i, batch) in disarray_schedule(kind, 42, 30).iter().enumerate() {
         let out = engine.append(batch).expect("append");
@@ -100,10 +95,8 @@ fn run_schedule(kind: Disarray, planner: PlannerKind, rowwise: bool) -> (usize, 
 }
 
 fn run_all_modes(kind: Disarray) {
-    for planner in [PlannerKind::Legacy, PlannerKind::Constraint] {
-        for rowwise in [false, true] {
-            run_schedule(kind, planner, rowwise);
-        }
+    for rowwise in [false, true] {
+        run_schedule(kind, rowwise);
     }
 }
 

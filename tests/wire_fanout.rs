@@ -1,13 +1,13 @@
 //! Routed streaming over the binary wire: a `subscribe: true` query
 //! through `sjrouted` must deliver the **same frame sequence** a
 //! single-node `sjserved` subscriber would see — byte-identical modulo
-//! the router-minted ids — across every disarray schedule and both
-//! planners. Satellites ride along: worker-kill chaos (failover or a
-//! structured degraded teardown, never a hang), bulk backfill parity,
-//! the idle-source watermark timeout, and JSON-lines clients against a
-//! binary-default daemon.
+//! the router-minted ids — across every disarray schedule. Also
+//! covered: worker-kill chaos (failover or a structured degraded
+//! teardown, never a hang), bulk backfill parity, the idle-source
+//! watermark timeout, and JSON-lines clients against a binary-default
+//! daemon.
 
-use sjcore::engine::{EngineConfig, PlannerKind, Query, QueryValue};
+use sjcore::engine::{EngineConfig, Query, QueryValue};
 use sjdata::{disarray_schedule, stream_catalog, Disarray};
 use sjdf::ExecCtx;
 use sjroute::{Router, RouterConfig};
@@ -37,26 +37,18 @@ fn joined_spec() -> QuerySpec {
     }
 }
 
-fn engine_config(planner: PlannerKind) -> EngineConfig {
-    EngineConfig {
-        planner,
-        ..EngineConfig::default()
-    }
-}
-
-fn spawn_worker(planner: PlannerKind) -> ServerHandle {
+fn spawn_worker() -> ServerHandle {
     let ctx = ExecCtx::local();
     let catalog = stream_catalog(&ctx).unwrap();
-    let config = ServiceConfig {
-        engine: engine_config(planner),
-        ..ServiceConfig::default()
-    };
-    serve(QueryService::new(ctx, catalog, config), "127.0.0.1:0").unwrap()
+    serve(
+        QueryService::new(ctx, catalog, ServiceConfig::default()),
+        "127.0.0.1:0",
+    )
+    .unwrap()
 }
 
-fn spawn_router(worker_addrs: Vec<String>, planner: PlannerKind) -> ServerHandle<Router> {
+fn spawn_router(worker_addrs: Vec<String>) -> ServerHandle<Router> {
     let config = RouterConfig {
-        engine: engine_config(planner),
         // Slow heartbeat: worker loss in these tests must be detected
         // on the append-forward path (which severs the feed), not raced
         // by a background probe.
@@ -160,8 +152,8 @@ fn run_and_collect(
 
 /// Reference: the frame sequence a single-node `sjserved` subscriber
 /// sees over this schedule.
-fn single_node_frames(kind: Disarray, planner: PlannerKind) -> Vec<String> {
-    let worker = spawn_worker(planner);
+fn single_node_frames(kind: Disarray) -> Vec<String> {
+    let worker = spawn_worker();
     let mut sub = subscriber(worker.addr);
     let mut appender = Client::connect_as(worker.addr, "ingest").unwrap();
     let frames = run_and_collect(
@@ -175,10 +167,10 @@ fn single_node_frames(kind: Disarray, planner: PlannerKind) -> Vec<String> {
 }
 
 /// The same schedule through a router fronting a 2-replica fleet.
-fn routed_frames(kind: Disarray, planner: PlannerKind, check_stats: bool) -> Vec<String> {
-    let w0 = spawn_worker(planner);
-    let w1 = spawn_worker(planner);
-    let router = spawn_router(vec![w0.addr.to_string(), w1.addr.to_string()], planner);
+fn routed_frames(kind: Disarray, check_stats: bool) -> Vec<String> {
+    let w0 = spawn_worker();
+    let w1 = spawn_worker();
+    let router = spawn_router(vec![w0.addr.to_string(), w1.addr.to_string()]);
     let mut sub = subscriber(router.addr);
     let mut appender = Client::connect_as(router.addr, "ingest").unwrap();
     let frames = run_and_collect(
@@ -205,22 +197,20 @@ fn routed_frames(kind: Disarray, planner: PlannerKind, check_stats: bool) -> Vec
 }
 
 fn assert_fanout_identity(kind: Disarray) {
-    for planner in [PlannerKind::Legacy, PlannerKind::Constraint] {
-        let reference = single_node_frames(kind, planner);
-        assert!(
-            reference.len() >= 3,
-            "[{} {planner:?}] schedule too quiet: {} frames",
-            kind.name(),
-            reference.len()
-        );
-        let routed = routed_frames(kind, planner, kind == Disarray::InOrder);
-        assert_eq!(
-            routed,
-            reference,
-            "[{} {planner:?}] routed subscriber diverged from single-node",
-            kind.name()
-        );
-    }
+    let reference = single_node_frames(kind);
+    assert!(
+        reference.len() >= 3,
+        "[{}] schedule too quiet: {} frames",
+        kind.name(),
+        reference.len()
+    );
+    let routed = routed_frames(kind, kind == Disarray::InOrder);
+    assert_eq!(
+        routed,
+        reference,
+        "[{}] routed subscriber diverged from single-node",
+        kind.name()
+    );
 }
 
 #[test]
@@ -255,13 +245,12 @@ fn fanout_matches_single_node_rack_skew() {
 /// `worker_unavailable` teardown frame — degraded, never a hang.
 #[test]
 fn worker_kill_fails_over_then_degrades_structurally() {
-    let planner = PlannerKind::Constraint;
     let kind = Disarray::InOrder;
-    let reference = single_node_frames(kind, planner);
+    let reference = single_node_frames(kind);
 
-    let w0 = spawn_worker(planner);
-    let w1 = spawn_worker(planner);
-    let router = spawn_router(vec![w0.addr.to_string(), w1.addr.to_string()], planner);
+    let w0 = spawn_worker();
+    let w1 = spawn_worker();
+    let router = spawn_router(vec![w0.addr.to_string(), w1.addr.to_string()]);
     let mut sub = subscriber(router.addr);
     let mut appender = Client::connect_as(router.addr, "ingest").unwrap();
 
@@ -327,7 +316,7 @@ fn bulk_backfill_matches_row_at_a_time() {
     let schedule = disarray_schedule(kind, SEED, STEPS);
 
     // Row-at-a-time reference: keep the LAST frame per window.
-    let worker = spawn_worker(PlannerKind::Constraint);
+    let worker = spawn_worker();
     let mut sub = subscriber(worker.addr);
     let mut appender = Client::connect_as(worker.addr, "ingest").unwrap();
     let mut final_wm = 0i64;
@@ -347,7 +336,7 @@ fn bulk_backfill_matches_row_at_a_time() {
     worker.stop();
 
     // Bulk: same schedule, no sweeps until the flush.
-    let worker = spawn_worker(PlannerKind::Constraint);
+    let worker = spawn_worker();
     let mut sub = subscriber(worker.addr);
     let mut appender = Client::connect_as(worker.addr, "ingest").unwrap();
     for batch in &schedule {
@@ -440,7 +429,7 @@ fn idle_source_timeout_unpins_the_watermark() {
 /// wire info.
 #[test]
 fn json_lines_client_against_binary_default_daemon() {
-    let worker = spawn_worker(PlannerKind::Constraint);
+    let worker = spawn_worker();
 
     let mut json_sub = Client::connect_json_as(worker.addr, "tenant-a").unwrap();
     json_sub
