@@ -4,328 +4,50 @@
 //! should compute it only once. The plan executor fingerprints every plan
 //! node; when caching is enabled, a node's materialized rows are stored
 //! under that fingerprint and reused by later executions. Capacity is
-//! bounded in bytes with least-recently-used eviction, and entries may
-//! optionally spill to non-volatile storage.
+//! bounded in bytes by the shared [`sjdf::Lru`]. Entries are shared, so
+//! a hit hands back the stored rows without copying them.
 
-use crate::error::{Result, SjError};
 use crate::row::Row;
 use crate::schema::Schema;
 use parking_lot::Mutex;
-use sjdf::ByteSize;
-use std::collections::HashMap;
-use std::path::PathBuf;
+use sjdf::{ByteSize, CacheStats, Lru};
+use std::sync::Arc;
 
 /// One cached materialization.
-#[derive(Debug, Clone)]
-struct Entry {
-    schema: Schema,
-    rows: Vec<Row>,
-    bytes: usize,
-    last_used: u64,
-}
-
-/// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Successful lookups.
-    pub hits: u64,
-    /// Failed lookups.
-    pub misses: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
-}
+pub type CachedResult = Arc<(Schema, Vec<Row>)>;
 
 /// LRU intermediate-result cache keyed by plan-node fingerprints.
 #[derive(Debug)]
 pub struct ResultCache {
-    inner: Mutex<CacheInner>,
-    capacity_bytes: usize,
-    spill_dir: Option<PathBuf>,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: HashMap<u64, Entry>,
-    bytes: usize,
-    clock: u64,
-    stats: CacheStats,
+    inner: Mutex<Lru<u64, CachedResult>>,
 }
 
 impl ResultCache {
     /// In-memory cache bounded to `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity_bytes,
-            spill_dir: None,
+            inner: Mutex::new(Lru::new(capacity_bytes)),
         }
     }
 
-    /// Cache that additionally persists entries as JSON files under `dir`
-    /// (the paper's non-volatile cache), so results survive the process.
-    pub fn with_spill(capacity_bytes: usize, dir: impl Into<PathBuf>) -> Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| SjError::Io(e.to_string()))?;
-        Ok(ResultCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity_bytes,
-            spill_dir: Some(dir),
-        })
+    /// Look up a materialization by fingerprint.
+    pub fn get(&self, key: u64) -> Option<CachedResult> {
+        self.inner.lock().get(&key).cloned()
     }
 
-    /// Look up a materialization by fingerprint. Falls back to the spill
-    /// directory when the entry is not in memory.
-    pub fn get(&self, key: u64) -> Option<(Schema, Vec<Row>)> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(e) = inner.entries.get_mut(&key) {
-            e.last_used = clock;
-            let out = (e.schema.clone(), e.rows.clone());
-            inner.stats.hits += 1;
-            return Some(out);
-        }
-        // Spill lookup.
-        if let Some(dir) = &self.spill_dir {
-            let path = dir.join(format!("{key:016x}.json"));
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Ok((schema, rows)) = serde_json::from_str::<(Schema, Vec<Row>)>(&text) {
-                    inner.stats.hits += 1;
-                    return Some((schema, rows));
-                }
-            }
-        }
-        inner.stats.misses += 1;
-        None
-    }
-
-    /// Insert a materialization. Entries larger than the whole capacity
-    /// are not cached in memory (but still spill if configured).
-    pub fn put(&self, key: u64, schema: Schema, rows: Vec<Row>) {
+    /// Insert a materialization and return the stored entry. An entry
+    /// larger than the whole capacity is returned but not kept.
+    pub fn put(&self, key: u64, schema: Schema, rows: Vec<Row>) -> CachedResult {
         let bytes = rows.iter().map(ByteSize::byte_size).sum::<usize>();
-        if let Some(dir) = &self.spill_dir {
-            let path = dir.join(format!("{key:016x}.json"));
-            if let Ok(text) = serde_json::to_string(&(&schema, &rows)) {
-                let _ = std::fs::write(path, text);
-            }
-        }
-        if bytes > self.capacity_bytes {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.entries.insert(
-            key,
-            Entry {
-                schema,
-                rows,
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        // Evict least-recently-used entries until within capacity.
-        while inner.bytes > self.capacity_bytes {
-            let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            if let Some(e) = inner.entries.remove(&victim) {
-                inner.bytes -= e.bytes;
-                inner.stats.evictions += 1;
-            }
-        }
+        let entry = Arc::new((schema, rows));
+        // Evicted rows are freed after the lock is released.
+        let _evicted = self.inner.lock().insert(key, Arc::clone(&entry), bytes);
+        entry
     }
 
-    /// Current statistics.
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
-    }
-
-    /// Number of in-memory entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// True if the in-memory cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total bytes held in memory.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().bytes
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tiered cache: hot LRU + compressed cold tier (§9 future work)
-// ---------------------------------------------------------------------------
-
-/// Statistics of the tiered cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Lookups served from the hot tier.
-    pub hot_hits: u64,
-    /// Lookups served from the cold (compressed) tier.
-    pub cold_hits: u64,
-    /// Lookups that missed both tiers.
-    pub misses: u64,
-    /// Entries demoted from hot to cold.
-    pub demotions: u64,
-    /// Entries dropped from the cold tier.
-    pub cold_evictions: u64,
-}
-
-#[derive(Debug)]
-struct ColdEntry {
-    compressed: Vec<u8>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct TieredInner {
-    hot: HashMap<u64, Entry>,
-    hot_bytes: usize,
-    cold: HashMap<u64, ColdEntry>,
-    cold_bytes: usize,
-    clock: u64,
-    stats: TierStats,
-}
-
-/// The storage cache hierarchy the paper's conclusion envisions: a hot
-/// in-memory LRU tier whose evicted entries are *compressed* and demoted
-/// to a bounded cold tier instead of being discarded. Cold hits are
-/// decompressed and promoted back to hot.
-#[derive(Debug)]
-pub struct TieredCache {
-    inner: Mutex<TieredInner>,
-    hot_capacity: usize,
-    cold_capacity: usize,
-}
-
-impl TieredCache {
-    /// A tiered cache with the given per-tier byte capacities (the cold
-    /// capacity bounds *compressed* bytes).
-    pub fn new(hot_capacity: usize, cold_capacity: usize) -> Self {
-        TieredCache {
-            inner: Mutex::new(TieredInner::default()),
-            hot_capacity,
-            cold_capacity,
-        }
-    }
-
-    /// Look up a materialization; cold hits are promoted back to hot.
-    pub fn get(&self, key: u64) -> Option<(Schema, Vec<Row>)> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(e) = inner.hot.get_mut(&key) {
-            e.last_used = clock;
-            let out = (e.schema.clone(), e.rows.clone());
-            inner.stats.hot_hits += 1;
-            return Some(out);
-        }
-        if let Some(ce) = inner.cold.remove(&key) {
-            inner.cold_bytes -= ce.compressed.len();
-            let decoded = crate::compress::decompress(&ce.compressed)?;
-            let (schema, rows): (Schema, Vec<Row>) = serde_json::from_slice(&decoded).ok()?;
-            inner.stats.cold_hits += 1;
-            drop(inner);
-            self.put(key, schema.clone(), rows.clone());
-            return Some((schema, rows));
-        }
-        inner.stats.misses += 1;
-        None
-    }
-
-    /// Insert into the hot tier, demoting LRU victims to the cold tier.
-    pub fn put(&self, key: u64, schema: Schema, rows: Vec<Row>) {
-        let bytes = rows.iter().map(ByteSize::byte_size).sum::<usize>();
-        if bytes > self.hot_capacity {
-            // Straight to cold.
-            self.demote(key, &schema, &rows);
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.hot.insert(
-            key,
-            Entry {
-                schema,
-                rows,
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            inner.hot_bytes -= old.bytes;
-        }
-        inner.hot_bytes += bytes;
-        while inner.hot_bytes > self.hot_capacity {
-            let Some((&victim, _)) = inner.hot.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            let Some(e) = inner.hot.remove(&victim) else {
-                break;
-            };
-            inner.hot_bytes -= e.bytes;
-            inner.stats.demotions += 1;
-            drop(inner);
-            self.demote(victim, &e.schema, &e.rows);
-            inner = self.inner.lock();
-        }
-    }
-
-    fn demote(&self, key: u64, schema: &Schema, rows: &[Row]) {
-        let Ok(encoded) = serde_json::to_vec(&(schema, rows)) else {
-            return;
-        };
-        let compressed = crate::compress::compress(&encoded);
-        if compressed.len() > self.cold_capacity {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.cold.insert(
-            key,
-            ColdEntry {
-                compressed,
-                last_used: clock,
-            },
-        ) {
-            inner.cold_bytes -= old.compressed.len();
-        }
-        inner.cold_bytes += inner.cold.get(&key).map_or(0, |e| e.compressed.len());
-        while inner.cold_bytes > self.cold_capacity {
-            let Some((&victim, _)) = inner.cold.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            if let Some(e) = inner.cold.remove(&victim) {
-                inner.cold_bytes -= e.compressed.len();
-                inner.stats.cold_evictions += 1;
-            }
-        }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> TierStats {
-        self.inner.lock().stats
-    }
-
-    /// (hot entries, cold entries).
-    pub fn tier_lens(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.hot.len(), inner.cold.len())
-    }
-
-    /// (hot bytes, compressed cold bytes).
-    pub fn tier_bytes(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.hot_bytes, inner.cold_bytes)
+        self.inner.lock().stats()
     }
 }
 
@@ -354,12 +76,19 @@ mod tests {
     fn put_get_round_trip() {
         let c = ResultCache::new(1 << 20);
         c.put(42, schema(), rows(3));
-        let (s, r) = c.get(42).unwrap();
-        assert_eq!(s, schema());
-        assert_eq!(r.len(), 3);
+        let hit = c.get(42).unwrap();
+        assert_eq!(hit.0, schema());
+        assert_eq!(hit.1.len(), 3);
         assert_eq!(c.stats().hits, 1);
         assert!(c.get(43).is_none());
         assert_eq!(c.stats().misses, 1);
+    }
+
+    #[test]
+    fn hits_share_the_stored_rows() {
+        let c = ResultCache::new(1 << 20);
+        let stored = c.put(7, schema(), rows(5));
+        assert!(Arc::ptr_eq(&stored, &c.get(7).unwrap()));
     }
 
     #[test]
@@ -376,96 +105,24 @@ mod tests {
         assert!(c.get(2).is_none());
         assert!(c.get(3).is_some());
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.bytes() <= entry_bytes * 2 + 10);
+        assert!(c.stats().bytes <= (entry_bytes * 2 + 10) as u64);
     }
 
     #[test]
-    fn oversized_entries_are_not_cached() {
+    fn oversized_entries_are_returned_but_not_cached() {
         let c = ResultCache::new(10);
-        c.put(1, schema(), rows(100));
+        assert_eq!(c.put(1, schema(), rows(100)).1.len(), 100);
         assert!(c.get(1).is_none());
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.stats().entries, 0);
     }
 
     #[test]
     fn replacing_an_entry_adjusts_bytes() {
         let c = ResultCache::new(1 << 20);
         c.put(1, schema(), rows(100));
-        let b1 = c.bytes();
+        let b1 = c.stats().bytes;
         c.put(1, schema(), rows(10));
-        assert!(c.bytes() < b1);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn tiered_cache_demotes_to_cold_and_promotes_back() {
-        let entry_bytes = rows(50).iter().map(ByteSize::byte_size).sum::<usize>();
-        // Hot fits one entry; cold is generous.
-        let c = TieredCache::new(entry_bytes + 8, 1 << 20);
-        c.put(1, schema(), rows(50));
-        c.put(2, schema(), rows(50)); // evicts 1 -> cold (compressed)
-        let (hot, cold) = c.tier_lens();
-        assert_eq!((hot, cold), (1, 1));
-        assert_eq!(c.stats().demotions, 1);
-        // Cold bytes are compressed: much smaller than raw.
-        let (_, cold_bytes) = c.tier_bytes();
-        assert!(cold_bytes < entry_bytes, "{cold_bytes} vs {entry_bytes}");
-        // Fetching 1 hits cold and promotes it back to hot (evicting 2).
-        let (_, r) = c.get(1).expect("cold hit");
-        assert_eq!(r.len(), 50);
-        assert_eq!(c.stats().cold_hits, 1);
-        let (hot, _) = c.tier_lens();
-        assert_eq!(hot, 1);
-        // And now 1 is a hot hit.
-        c.get(1).unwrap();
-        assert_eq!(c.stats().hot_hits, 1);
-    }
-
-    #[test]
-    fn tiered_cache_bounds_the_cold_tier() {
-        let entry_bytes = rows(50).iter().map(ByteSize::byte_size).sum::<usize>();
-        // Tiny tiers: cold holds roughly one compressed entry.
-        let compressed_size = {
-            let encoded = serde_json::to_vec(&(schema(), rows(50))).unwrap();
-            crate::compress::compress(&encoded).len()
-        };
-        let c = TieredCache::new(entry_bytes + 8, compressed_size + 16);
-        for k in 0..6 {
-            c.put(k, schema(), rows(50));
-        }
-        let (_, cold_bytes) = c.tier_bytes();
-        assert!(cold_bytes <= compressed_size + 16);
-        assert!(c.stats().cold_evictions > 0);
-    }
-
-    #[test]
-    fn tiered_cache_miss_is_counted() {
-        let c = TieredCache::new(1 << 20, 1 << 20);
-        assert!(c.get(99).is_none());
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn oversized_hot_entries_go_straight_to_cold() {
-        let c = TieredCache::new(64, 1 << 20);
-        c.put(5, schema(), rows(100));
-        let (hot, cold) = c.tier_lens();
-        assert_eq!((hot, cold), (0, 1));
-        assert!(c.get(5).is_some());
-    }
-
-    #[test]
-    fn spill_persists_across_instances() {
-        let dir = std::env::temp_dir().join(format!("sj-cache-test-{}", std::process::id()));
-        {
-            let c = ResultCache::with_spill(1 << 20, &dir).unwrap();
-            c.put(7, schema(), rows(4));
-        }
-        {
-            let c = ResultCache::with_spill(1 << 20, &dir).unwrap();
-            let (_, r) = c.get(7).expect("spilled entry should be readable");
-            assert_eq!(r.len(), 4);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(c.stats().bytes < b1);
+        assert_eq!(c.stats().entries, 1);
     }
 }

@@ -12,7 +12,7 @@ mod plan;
 mod planner;
 mod search;
 
-pub use plan::{Plan, PlanCache};
+pub use plan::Plan;
 pub use search::{EngineConfig, EngineStats, QueryEngine};
 
 use crate::error::{Result, SjError};

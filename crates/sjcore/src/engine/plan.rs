@@ -6,42 +6,13 @@
 //! editable, and execute against a catalog — optionally through the
 //! intermediate-result cache.
 
-use crate::cache::{ResultCache, TieredCache};
+use crate::cache::ResultCache;
 use crate::catalog::Catalog;
 use crate::dataset::SjDataset;
 use crate::derivations::DerivationSpec;
 use crate::error::{Result, SjError};
-use crate::row::Row;
-use crate::schema::Schema;
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
-
-/// Anything that can memoize plan-node materializations. Implemented by
-/// the flat LRU [`ResultCache`] and the two-tier [`TieredCache`].
-pub trait PlanCache {
-    /// Look up a materialization by plan fingerprint.
-    fn cache_get(&self, key: u64) -> Option<(Schema, Vec<Row>)>;
-    /// Store a materialization.
-    fn cache_put(&self, key: u64, schema: Schema, rows: Vec<Row>);
-}
-
-impl PlanCache for ResultCache {
-    fn cache_get(&self, key: u64) -> Option<(Schema, Vec<Row>)> {
-        self.get(key)
-    }
-    fn cache_put(&self, key: u64, schema: Schema, rows: Vec<Row>) {
-        self.put(key, schema, rows)
-    }
-}
-
-impl PlanCache for TieredCache {
-    fn cache_get(&self, key: u64) -> Option<(Schema, Vec<Row>)> {
-        self.get(key)
-    }
-    fn cache_put(&self, key: u64, schema: Schema, rows: Vec<Row>) {
-        self.put(key, schema, rows)
-    }
-}
 
 /// A derivation sequence, represented as an operator tree.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,28 +130,15 @@ impl Plan {
     }
 
     /// Execute the plan against a catalog, optionally reusing and storing
-    /// intermediate results in the flat LRU cache.
+    /// intermediate results in the LRU result cache.
     pub fn execute(&self, catalog: &Catalog, cache: Option<&ResultCache>) -> Result<SjDataset> {
-        match cache {
-            Some(c) => self.execute_cached(catalog, Some(c)),
-            None => self.execute_cached(catalog, Option::<&ResultCache>::None),
-        }
-    }
-
-    /// Execute the plan through any [`PlanCache`] implementation (the
-    /// flat LRU or the tiered hot/cold cache).
-    pub fn execute_cached<C: PlanCache + ?Sized>(
-        &self,
-        catalog: &Catalog,
-        cache: Option<&C>,
-    ) -> Result<SjDataset> {
         match self {
             Plan::Load { dataset } => Ok(catalog.dataset(dataset)?.clone()),
             Plan::Transform { spec, input } => {
-                if let Some(hit) = self.cached(catalog, cache)? {
+                if let Some(hit) = self.cached(catalog, cache) {
                     return Ok(hit);
                 }
-                let in_ds = input.execute_cached(catalog, cache)?;
+                let in_ds = input.execute(catalog, cache)?;
                 let t = spec.as_transformation().ok_or_else(|| {
                     SjError::SemanticsInvalid(format!(
                         "`{}` is not a transformation",
@@ -188,34 +146,28 @@ impl Plan {
                     ))
                 })?;
                 let out = t.apply(&in_ds, catalog.dict())?;
-                self.store(catalog, cache, &out)?;
+                self.store(cache, &out)?;
                 Ok(out)
             }
             Plan::Combine { spec, left, right } => {
-                if let Some(hit) = self.cached(catalog, cache)? {
+                if let Some(hit) = self.cached(catalog, cache) {
                     return Ok(hit);
                 }
-                let l = left.execute_cached(catalog, cache)?;
-                let r = right.execute_cached(catalog, cache)?;
+                let l = left.execute(catalog, cache)?;
+                let r = right.execute(catalog, cache)?;
                 let c = spec.as_combination().ok_or_else(|| {
                     SjError::SemanticsInvalid(format!("`{}` is not a combination", spec.op_name()))
                 })?;
                 let out = c.apply(&l, &r, catalog.dict())?;
-                self.store(catalog, cache, &out)?;
+                self.store(cache, &out)?;
                 Ok(out)
             }
         }
     }
 
-    fn cached<C: PlanCache + ?Sized>(
-        &self,
-        catalog: &Catalog,
-        cache: Option<&C>,
-    ) -> Result<Option<SjDataset>> {
-        let Some(cache) = cache else { return Ok(None) };
-        let Some((schema, rows)) = cache.cache_get(self.fingerprint()) else {
-            return Ok(None);
-        };
+    fn cached(&self, catalog: &Catalog, cache: Option<&ResultCache>) -> Option<SjDataset> {
+        let entry = cache?.get(self.fingerprint())?;
+        let (schema, rows) = &*entry;
         // Rebuild a dataset on the execution context of any catalog
         // dataset (they all share one).
         let ctx = catalog
@@ -224,24 +176,18 @@ impl Plan {
             .map(|(_, d)| d.rdd().ctx().clone())
             .unwrap_or_default();
         let parts = ctx.cluster.default_partitions().min(rows.len().max(1));
-        Ok(Some(SjDataset::from_rows(
+        Some(SjDataset::from_rows(
             &ctx,
-            rows,
-            schema,
+            rows.clone(),
+            schema.clone(),
             format!("cached({})", self.fingerprint()),
             parts,
-        )))
+        ))
     }
 
-    fn store<C: PlanCache + ?Sized>(
-        &self,
-        _catalog: &Catalog,
-        cache: Option<&C>,
-        ds: &SjDataset,
-    ) -> Result<()> {
+    fn store(&self, cache: Option<&ResultCache>, ds: &SjDataset) -> Result<()> {
         if let Some(cache) = cache {
-            let rows = ds.collect()?;
-            cache.cache_put(self.fingerprint(), ds.schema().clone(), rows);
+            cache.put(self.fingerprint(), ds.schema().clone(), ds.collect()?);
         }
         Ok(())
     }

@@ -60,7 +60,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod column;
-pub mod compress;
 pub mod dataset;
 pub mod derivations;
 pub mod engine;

@@ -49,7 +49,8 @@ fn concurrent_get_put_with_eviction_stays_consistent() {
                         // other keys.
                         let key = if k % 2 == 0 { k } else { t * 1000 + k };
                         match cache.get(key) {
-                            Some((s, r)) => {
+                            Some(entry) => {
+                                let (s, r) = &*entry;
                                 // An entry must come back whole, never a
                                 // torn or partially evicted state.
                                 assert_eq!(s.len(), 2);
@@ -75,9 +76,9 @@ fn concurrent_get_put_with_eviction_stays_consistent() {
     // happened, and the byte accounting must still respect capacity.
     assert!(stats.evictions > 0, "expected evictions, got {stats:?}");
     assert!(
-        cache.bytes() <= 64 << 10,
+        stats.bytes <= 64 << 10,
         "cache over budget: {} bytes",
-        cache.bytes()
+        stats.bytes
     );
     // Overlapping keys guarantee some hits, and the shared counters must
     // at least account for every hit the threads observed.
@@ -90,8 +91,8 @@ fn concurrent_get_put_with_eviction_stays_consistent() {
 
     // After the storm the cache still works single-threaded.
     cache.put(u64::MAX, schema.clone(), rows(9, 4));
-    let (_, r) = cache.get(u64::MAX).expect("fresh entry readable");
-    assert_eq!(r.len(), 4);
+    let entry = cache.get(u64::MAX).expect("fresh entry readable");
+    assert_eq!(entry.1.len(), 4);
 }
 
 #[test]
@@ -106,8 +107,8 @@ fn concurrent_readers_of_one_hot_key_all_see_the_same_rows() {
             let expected = expected.clone();
             thread::spawn(move || {
                 for _ in 0..200 {
-                    let (_, got) = cache.get(7).expect("hot key stays resident");
-                    assert_eq!(got, expected);
+                    let got = cache.get(7).expect("hot key stays resident");
+                    assert_eq!(got.1, expected);
                 }
             })
         })

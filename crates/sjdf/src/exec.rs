@@ -22,6 +22,10 @@
 //! budget is exhausted the wave fails with
 //! [`SjdfError::ExhaustedRetries`]; with the default budget of one
 //! attempt, behavior is the classic fail-fast [`SjdfError::TaskPanic`].
+//! A permanent failure does not cut the wave short: every partition runs
+//! its retry loop to the end and the wave reports the lowest-index
+//! failure, so which attempts ran — and which faults a [`FaultPlan`]
+//! injected — depends only on the plan, never on thread timing.
 //!
 //! Straggler tasks can additionally be re-executed speculatively: when a
 //! [`SpeculationPolicy`] is set, the wave's initiating thread watches for
@@ -555,13 +559,10 @@ struct Wave<T, F> {
     /// Next unclaimed partition index.
     cursor: AtomicUsize,
     slots: Vec<Slot<T>>,
-    /// Count of settled partitions (completed, failed, or drained).
+    /// Count of settled partitions (completed or failed).
     done: AtomicUsize,
-    /// Set on the first permanent failure; runners then drain instead of
-    /// computing.
-    failed: AtomicBool,
-    /// The *first* permanent failure — later failures never overwrite it.
-    first_error: Mutex<Option<SjdfError>>,
+    /// The lowest-index permanent failure and its partition.
+    lowest_failure: Mutex<Option<(usize, SjdfError)>>,
     complete: Mutex<bool>,
     completed: Condvar,
     policy: RetryPolicy,
@@ -605,8 +606,7 @@ where
                 })
                 .collect(),
             done: AtomicUsize::new(0),
-            failed: AtomicBool::new(false),
-            first_error: Mutex::new(None),
+            lowest_failure: Mutex::new(None),
             complete: Mutex::new(false),
             completed: Condvar::new(),
             policy,
@@ -649,10 +649,8 @@ where
         let max_attempts = self.policy.max_attempts.max(1);
         let mut attempt = 0u32;
         loop {
-            if self.failed.load(Ordering::Acquire) || self.slots[i].settled.load(Ordering::Acquire)
-            {
-                // Failure elsewhere (drain) or a speculative win.
-                self.settle_drained(i);
+            if self.slots[i].settled.load(Ordering::Acquire) {
+                // A speculative attempt won the race.
                 return;
             }
             match self.execute_attempt(i, attempt, false) {
@@ -679,13 +677,12 @@ where
                                 last_error: msg,
                             }
                         };
-                        let mut first = lock(&self.first_error);
-                        if first.is_none() {
-                            *first = Some(err);
+                        let mut first = lock(&self.lowest_failure);
+                        if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                            *first = Some((i, err));
                         }
                         drop(first);
-                        self.failed.store(true, Ordering::Release);
-                        self.settle_drained(i);
+                        self.settle_failed(i);
                         return;
                     }
                     let backoff = self.policy.backoff_for(attempt - 1);
@@ -777,9 +774,9 @@ where
         }
     }
 
-    /// Settle a slot without a value (drain after failure, or the losing
-    /// side of a speculative race). Idempotent.
-    fn settle_drained(&self, i: usize) {
+    /// Settle a slot without a value after a permanent failure. A no-op
+    /// if a speculative attempt already settled it.
+    fn settle_failed(&self, i: usize) {
         if !self.slots[i].settled.swap(true, Ordering::AcqRel) {
             self.bump_done();
         }
@@ -827,9 +824,6 @@ where
                 if *guard {
                     return;
                 }
-            }
-            if self.failed.load(Ordering::Acquire) {
-                return;
             }
             if let Some(i) = self.straggler(&spec) {
                 self.run_speculative(i);
@@ -893,10 +887,10 @@ where
         }
     }
 
-    /// Gather results in partition order, preferring the first recorded
+    /// Gather results in partition order, preferring the lowest-index
     /// failure over the empty-slot placeholder.
     fn finish(self: Arc<Self>) -> Result<Vec<T>> {
-        if let Some(err) = lock(&self.first_error).take() {
+        if let Some((_, err)) = lock(&self.lowest_failure).take() {
             return Err(err);
         }
         let mut out = Vec::with_capacity(self.parts);
@@ -979,18 +973,13 @@ mod tests {
     }
 
     #[test]
-    fn first_panic_wins_over_later_panics() {
-        // Every task panics with its own message; whatever surfaced must
-        // be one of the real messages, never the placeholder.
+    fn lowest_partition_panic_wins() {
+        // Every task panics with its own message; partition 0's surfaces
+        // whichever thread failed first.
         let ctx = ExecCtx::new(ClusterSpec::new(1, 4).unwrap());
         let res: Result<Vec<usize>> = ctx.run_wave(8, |i| panic!("task {i} failed"));
         match res {
-            Err(SjdfError::TaskPanic(msg)) => {
-                assert!(
-                    msg.starts_with("task ") && msg.ends_with(" failed"),
-                    "{msg}"
-                )
-            }
+            Err(SjdfError::TaskPanic(msg)) => assert_eq!(msg, "task 0 failed"),
             other => panic!("expected TaskPanic, got {other:?}"),
         }
     }

@@ -32,6 +32,7 @@ pub mod cluster;
 pub mod error;
 pub mod exec;
 pub mod faults;
+pub mod lru;
 pub mod metrics;
 pub mod ops;
 pub mod pool;
@@ -50,6 +51,7 @@ pub use cluster::ClusterSpec;
 pub use error::{Result, SjdfError};
 pub use exec::{ExecCtx, RetryPolicy, SpeculationPolicy};
 pub use faults::{Fault, FaultPlan, FaultSite};
+pub use lru::{CacheStats, Lru};
 pub use metrics::{FailureReport, MetricsCollector, MetricsReport, OpKind};
 pub use pool::WorkerPool;
 pub use rdd::{Data, Rdd};

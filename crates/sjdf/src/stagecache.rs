@@ -11,10 +11,11 @@
 //!
 //! The cache never owns the data — the typed slots live inside the ops —
 //! it only *accounts* for it (sizes come from [`crate::bytesize`]) and
-//! decides what to drop. When an insertion pushes the total past the
-//! budget, least-recently-used entries are evicted via a type-erased
-//! callback that clears the owning slot; the lineage simply recomputes an
-//! evicted stage on its next access, so eviction is always safe.
+//! decides what to drop, with the shared byte-budgeted [`Lru`]. When an
+//! insertion pushes the total past the budget, least-recently-used
+//! entries are evicted via a type-erased callback that clears the owning
+//! slot; the lineage simply recomputes an evicted stage on its next
+//! access, so eviction is always safe.
 //!
 //! # Locking
 //!
@@ -39,8 +40,8 @@
 //! evicted simply recomputes it, paying the cost but never changing the
 //! result.
 
+use crate::lru::Lru;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -68,25 +69,16 @@ pub trait EvictableSlot: Send + Sync {
     fn evict(&self, part: usize);
 }
 
-#[derive(Debug)]
-struct Entry {
-    bytes: usize,
-    last_used: u64,
-    owner: Weak<dyn EvictableSlot>,
-    /// Optional invalidation group: [`StageCache::invalidate_tag`] drops
-    /// every entry sharing a tag, regardless of owner. Used by streaming
-    /// to key cached window evaluations on (subscription, window id) and
-    /// invalidate exactly the cells whose input windows received appends.
-    tag: Option<u64>,
-}
+/// What the registry keeps per `(owner id, partition)`: the slot to clear
+/// on eviction, and an optional invalidation group —
+/// [`StageCache::invalidate_tag`] drops every entry sharing a tag,
+/// regardless of owner. Streaming uses tags to key cached window
+/// evaluations on (subscription, window id) and invalidate exactly the
+/// cells whose input windows received appends.
+type Registered = (Weak<dyn EvictableSlot>, Option<u64>);
 
-#[derive(Debug, Default)]
-struct Registry {
-    /// Keyed by (owner id, partition index).
-    entries: HashMap<(u64, usize), Entry>,
-    bytes: usize,
-    tick: u64,
-}
+/// Registry entries handed back for their slots to be cleared.
+type Victims = Vec<((u64, usize), Registered)>;
 
 /// Point-in-time counters for the stage cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -112,8 +104,7 @@ pub struct StageCacheStats {
 /// clone of an [`ExecCtx`](crate::exec::ExecCtx).
 #[derive(Debug)]
 pub struct StageCache {
-    registry: Mutex<Registry>,
-    budget: AtomicU64,
+    registry: Mutex<Lru<(u64, usize), Registered>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -123,8 +114,7 @@ pub struct StageCache {
 impl Default for StageCache {
     fn default() -> Self {
         StageCache {
-            registry: Mutex::new(Registry::default()),
-            budget: AtomicU64::new(u64::MAX),
+            registry: Mutex::new(Lru::new(usize::MAX)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -142,36 +132,27 @@ impl StageCache {
     /// Set the byte budget, evicting LRU entries immediately if the
     /// current contents exceed it. `u64::MAX` means unlimited.
     pub fn set_budget(&self, bytes: u64) {
-        self.budget.store(bytes, Ordering::Relaxed);
-        let victims = {
-            let mut reg = self.registry.lock();
-            self.collect_victims(&mut reg, None)
-        };
+        let budget = usize::try_from(bytes).unwrap_or(usize::MAX);
+        let victims = self.registry.lock().set_budget(budget);
         self.run_evictions(victims);
     }
 
     /// The configured byte budget.
     pub fn budget(&self) -> u64 {
-        self.budget.load(Ordering::Relaxed)
+        self.registry.lock().budget() as u64
     }
 
     /// Record a lookup served from a cached slot and refresh its LRU
     /// position.
     pub fn record_hit(&self, owner_id: u64, part: usize) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        let mut reg = self.registry.lock();
-        reg.tick += 1;
-        let tick = reg.tick;
-        if let Some(entry) = reg.entries.get_mut(&(owner_id, part)) {
-            entry.last_used = tick;
-        }
+        self.registry.lock().touch(&(owner_id, part));
     }
 
     /// Account a freshly materialized slot, evicting older entries if the
-    /// budget is now exceeded. The new entry itself is only evicted when
-    /// it alone exceeds the whole budget (an oversized partition must not
-    /// pin the cache over budget forever). Returns how many entries were
-    /// evicted to make room.
+    /// budget is now exceeded. An entry larger than the whole budget is
+    /// evicted itself (an oversized partition must not pin the cache over
+    /// budget). Returns how many entries were evicted.
     pub fn insert(
         &self,
         owner_id: u64,
@@ -195,25 +176,10 @@ impl StageCache {
         tag: Option<u64>,
     ) -> usize {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let victims = {
-            let mut reg = self.registry.lock();
-            reg.tick += 1;
-            let tick = reg.tick;
-            let old = reg.entries.insert(
-                (owner_id, part),
-                Entry {
-                    bytes,
-                    last_used: tick,
-                    owner: Arc::downgrade(owner),
-                    tag,
-                },
-            );
-            reg.bytes += bytes;
-            if let Some(old) = old {
-                reg.bytes = reg.bytes.saturating_sub(old.bytes);
-            }
-            self.collect_victims(&mut reg, Some((owner_id, part)))
-        };
+        let victims =
+            self.registry
+                .lock()
+                .insert((owner_id, part), (Arc::downgrade(owner), tag), bytes);
         self.run_evictions(victims)
     }
 
@@ -222,31 +188,13 @@ impl StageCache {
     /// invalidation rule's hook: an append that touches a window
     /// invalidates exactly the cached cells keyed by that window's tag.
     pub fn invalidate_tag(&self, tag: u64) -> usize {
-        let victims = {
-            let mut reg = self.registry.lock();
-            let keys: Vec<(u64, usize)> = reg
-                .entries
-                .iter()
-                .filter(|(_, e)| e.tag == Some(tag))
-                .map(|(k, _)| *k)
-                .collect();
-            let mut victims = Vec::with_capacity(keys.len());
-            for key in keys {
-                if let Some(entry) = reg.entries.remove(&key) {
-                    reg.bytes = reg.bytes.saturating_sub(entry.bytes);
-                    victims.push((key.1, entry.owner));
-                }
-            }
-            victims
-        };
-        let n = victims.len();
-        for (part, owner) in victims {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            if let Some(owner) = owner.upgrade() {
-                owner.evict(part);
-            }
-        }
-        n
+        let victims = self
+            .registry
+            .lock()
+            .remove_where(|_, (_, t)| *t == Some(tag));
+        self.invalidations
+            .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        clear_slots(victims)
     }
 
     /// Drop every entry belonging to `owner_id` (used by `unpersist` and
@@ -254,85 +202,50 @@ impl StageCache {
     pub fn release_owner(&self, owner_id: u64) -> usize {
         let (victims, released) = {
             let mut reg = self.registry.lock();
-            let keys: Vec<(u64, usize)> = reg
-                .entries
-                .keys()
-                .filter(|(id, _)| *id == owner_id)
-                .copied()
-                .collect();
-            let mut victims = Vec::with_capacity(keys.len());
-            let mut released = 0usize;
-            for key in keys {
-                if let Some(entry) = reg.entries.remove(&key) {
-                    reg.bytes = reg.bytes.saturating_sub(entry.bytes);
-                    released += entry.bytes;
-                    victims.push((key.1, entry.owner));
-                }
-            }
-            (victims, released)
+            let before = reg.stats().bytes;
+            let victims = reg.remove_where(|(id, _), _| *id == owner_id);
+            (victims, before - reg.stats().bytes)
         };
-        for (part, owner) in victims {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(owner) = owner.upgrade() {
-                owner.evict(part);
-            }
-        }
-        released
+        self.run_evictions(victims);
+        released as usize
     }
 
     /// Current counters.
     pub fn stats(&self) -> StageCacheStats {
-        let reg = self.registry.lock();
+        let (lru, budget) = {
+            let reg = self.registry.lock();
+            (reg.stats(), reg.budget() as u64)
+        };
         StageCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            bytes: reg.bytes as u64,
-            entries: reg.entries.len() as u64,
-            budget: self.budget(),
+            bytes: lru.bytes,
+            entries: lru.entries,
+            budget,
         }
     }
 
-    /// Under the registry lock: pop LRU entries until the total fits the
-    /// budget. `protect` (the entry just inserted) is spared unless it is
-    /// the only entry left.
-    fn collect_victims(
-        &self,
-        reg: &mut Registry,
-        protect: Option<(u64, usize)>,
-    ) -> Vec<(usize, Weak<dyn EvictableSlot>)> {
-        let budget = self.budget();
-        let mut victims = Vec::new();
-        while (reg.bytes as u64) > budget {
-            let candidate = reg
-                .entries
-                .iter()
-                .filter(|(key, _)| Some(**key) != protect)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(key, _)| *key)
-                .or_else(|| reg.entries.keys().next().copied());
-            let Some(key) = candidate else { break };
-            if let Some(entry) = reg.entries.remove(&key) {
-                reg.bytes = reg.bytes.saturating_sub(entry.bytes);
-                victims.push((key.1, entry.owner));
-            }
-        }
-        victims
+    /// Outside the registry lock: count the victims as evictions and clear
+    /// their typed slots. Returns the number of victims.
+    fn run_evictions(&self, victims: Victims) -> usize {
+        self.evictions
+            .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        clear_slots(victims)
     }
+}
 
-    /// Outside the registry lock: clear the victims' typed slots.
-    /// Returns the number of victims.
-    fn run_evictions(&self, victims: Vec<(usize, Weak<dyn EvictableSlot>)>) -> usize {
-        let n = victims.len();
-        for (part, owner) in victims {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(owner) = owner.upgrade() {
-                owner.evict(part);
-            }
+/// Clear each victim's typed slot (never under the registry lock).
+/// Returns the number of victims.
+fn clear_slots(victims: Victims) -> usize {
+    let n = victims.len();
+    for ((_, part), (owner, _)) in victims {
+        if let Some(owner) = owner.upgrade() {
+            owner.evict(part);
         }
-        n
     }
+    n
 }
 
 #[cfg(test)]

@@ -28,7 +28,12 @@ fn quiet_ctx() -> ExecCtx {
 /// A context with `plan` installed and a retry budget of `attempts`
 /// total attempts, with near-zero backoff so tests stay fast.
 fn chaos_ctx(plan: FaultPlan, attempts: u32) -> ExecCtx {
-    quiet_ctx()
+    chaos_ctx_on(3, plan, attempts)
+}
+
+/// [`chaos_ctx`] on a single node with `cores` cores.
+fn chaos_ctx_on(cores: usize, plan: FaultPlan, attempts: u32) -> ExecCtx {
+    ExecCtx::new(ClusterSpec::new(1, cores).unwrap())
         .with_retry(RetryPolicy::retries(attempts).with_backoff(
             Duration::from_micros(50),
             2.0,
@@ -613,4 +618,37 @@ fn tracing_does_not_perturb_chaos_outcomes() {
             "seed {seed}: tracing changed fault injection"
         );
     }
+}
+
+/// A permanent failure does not cut its wave short, so which attempts run
+/// — and which faults the plan injects — is a function of the plan alone:
+/// one core and four cores give the same outcome and the same failure
+/// accounting for every seed.
+#[test]
+fn failure_accounting_is_independent_of_thread_count() {
+    let left = records(7, 120);
+    let right = records(11, 80);
+    let run = |seed: u64, cores: usize| {
+        let plan = FaultPlan::seeded(seed)
+            .with_task_fail_rate(0.2)
+            .with_shuffle_fail_rate(0.1);
+        let ctx = chaos_ctx_on(cores, plan, 3);
+        let outcome = match pipeline(&ctx, &left, &right) {
+            Ok(rows) => Ok(rows),
+            Err(SjdfError::ExhaustedRetries { partition, .. }) => Err(partition),
+            Err(e) => panic!("seed {seed}: unexpected error kind: {e}"),
+        };
+        (outcome, ctx.failure_report())
+    };
+    let mut exhausted = 0usize;
+    for seed in 0..40u64 {
+        let serial = run(seed, 1);
+        assert_eq!(
+            serial,
+            run(seed, 4),
+            "seed {seed}: the thread count changed the outcome or its accounting"
+        );
+        exhausted += usize::from(serial.0.is_err());
+    }
+    assert!(exhausted > 0, "no seed exhausted its budget");
 }

@@ -5,85 +5,54 @@
 //! whenever any worker's catalog epoch changes (the router cannot know
 //! which cached results the changed shard contributed to, and epochs
 //! change rarely, so a full invalidation is both correct and cheap).
-//! Bounded FIFO: the router's value is routing, not caching; workers
-//! already keep the expensive levels (plans and materialized rows) warm.
-
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A byte-budgeted [`Lru`] under [`ROUTE_CACHE_BYTES`], each answer
+//! charged its columns plus rendered rows.
 
 use parking_lot::Mutex;
+use sjdf::{ByteSize, CacheStats, Lru};
 use sjserve::protocol::Response;
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<String, Response>,
-    order: VecDeque<String>,
-}
+/// Byte budget of the route cache: the worker result cache's default.
+pub const ROUTE_CACHE_BYTES: usize = 64 << 20;
 
-/// Bounded map of route-key → ready-to-send response.
+/// Bounded map of (plan fingerprint, limit) → ready-to-send response.
 #[derive(Debug)]
 pub struct RouteCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
+    inner: Mutex<Lru<(u64, usize), Response>>,
+}
+
+impl Default for RouteCache {
+    fn default() -> Self {
+        RouteCache {
+            inner: Mutex::new(Lru::new(ROUTE_CACHE_BYTES)),
+        }
+    }
 }
 
 impl RouteCache {
-    pub fn new(capacity: usize) -> Self {
-        RouteCache {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-        }
+    pub fn get(&self, plan_fingerprint: u64, limit: usize) -> Option<Response> {
+        self.inner.lock().get(&(plan_fingerprint, limit)).cloned()
     }
 
-    /// Cache key for a routed query: the plan fingerprint identifies the
-    /// derivation (canonical query + engine knobs), the limit the
-    /// rendered row budget.
-    pub fn key(plan_fingerprint: u64, limit: usize) -> String {
-        format!("{plan_fingerprint:016x}:{limit}")
-    }
-
-    pub fn get(&self, key: &str) -> Option<Response> {
-        let found = self.inner.lock().map.get(key).cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    pub fn put(&self, key: String, response: Response) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        if inner.map.insert(key.clone(), response).is_none() {
-            inner.order.push_back(key);
-            while inner.order.len() > self.capacity {
-                if let Some(evicted) = inner.order.pop_front() {
-                    inner.map.remove(&evicted);
-                }
-            }
-        }
+    pub fn put(&self, plan_fingerprint: u64, limit: usize, response: Response) {
+        let bytes = response
+            .result
+            .as_ref()
+            .map_or(0, |r| r.columns.byte_size() + r.rows.byte_size());
+        // Evicted answers are freed after the lock is released.
+        let _evicted = self
+            .inner
+            .lock()
+            .insert((plan_fingerprint, limit), response, bytes);
     }
 
     /// Epoch invalidation: drop everything.
     pub fn invalidate_all(&self) {
-        let mut inner = self.inner.lock();
-        inner.map.clear();
-        inner.order.clear();
+        self.inner.lock().clear();
     }
 
-    pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    pub fn stats(&self) -> CacheStats {
+        self.inner.lock().stats()
     }
 }
 
@@ -97,40 +66,25 @@ mod tests {
 
     #[test]
     fn caches_and_counts_hits() {
-        let cache = RouteCache::new(4);
-        let key = RouteCache::key(0xabc, 100);
-        assert!(cache.get(&key).is_none());
-        assert_eq!(cache.hits(), 0);
-        cache.put(key.clone(), resp("a"));
-        assert_eq!(cache.get(&key).unwrap().id, "a");
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn evicts_oldest_beyond_capacity() {
-        let cache = RouteCache::new(2);
-        cache.put("k1".into(), resp("1"));
-        cache.put("k2".into(), resp("2"));
-        cache.put("k3".into(), resp("3"));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("k1").is_none(), "oldest entry evicted");
-        assert!(cache.get("k3").is_some());
+        let cache = RouteCache::default();
+        assert!(cache.get(0xabc, 100).is_none());
+        cache.put(0xabc, 100, resp("a"));
+        assert_eq!(cache.get(0xabc, 100).unwrap().id, "a");
+        assert!(
+            cache.get(0xabc, 200).is_none(),
+            "the limit is part of the key"
+        );
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
     }
 
     #[test]
     fn invalidate_all_clears_everything() {
-        let cache = RouteCache::new(8);
-        cache.put("k1".into(), resp("1"));
-        cache.put("k2".into(), resp("2"));
+        let cache = RouteCache::default();
+        cache.put(1, 10, resp("1"));
+        cache.put(2, 10, resp("2"));
         cache.invalidate_all();
-        assert!(cache.is_empty());
-        assert!(cache.get("k1").is_none());
-    }
-
-    #[test]
-    fn keys_separate_fingerprint_and_limit() {
-        assert_ne!(RouteCache::key(1, 10), RouteCache::key(1, 20));
-        assert_ne!(RouteCache::key(1, 10), RouteCache::key(2, 10));
+        assert_eq!(cache.stats().entries, 0);
+        assert!(cache.get(1, 10).is_none());
     }
 }

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use sjdf::CacheStats;
 use sjserve::metrics::{Histogram, RouterStatsReport, TenantStats, WorkerSummary};
 
 /// Counters every route path reports into.
@@ -202,8 +203,7 @@ impl RouterMetrics {
     /// supplied by the router, which owns those structures.
     pub fn snapshot(
         &self,
-        route_cache_hits: u64,
-        route_cache_entries: u64,
+        route_cache: CacheStats,
         workers: Vec<WorkerSummary>,
     ) -> RouterStatsReport {
         let latency = self.latency.lock();
@@ -215,8 +215,11 @@ impl RouterMetrics {
             worker_markdowns: self.worker_markdowns.load(Ordering::Relaxed),
             failovers: self.failovers.load(Ordering::Relaxed),
             epoch_invalidations: self.epoch_invalidations.load(Ordering::Relaxed),
-            route_cache_hits,
-            route_cache_entries,
+            route_cache_hits: route_cache.hits,
+            route_cache_entries: route_cache.entries,
+            route_cache_misses: route_cache.misses,
+            route_cache_bytes: route_cache.bytes,
+            route_cache_evictions: route_cache.evictions,
             rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -271,7 +274,14 @@ mod tests {
         m.worker_frame();
         m.appends_forwarded(3);
         m.stream_worker_lost();
-        let s = m.snapshot(3, 2, Vec::new());
+        let cache = CacheStats {
+            hits: 3,
+            misses: 4,
+            evictions: 1,
+            entries: 2,
+            bytes: 640,
+        };
+        let s = m.snapshot(cache, Vec::new());
         assert_eq!(s.routed_queries, 2);
         assert_eq!(s.requests_binary, 2);
         assert_eq!(s.requests_json, 1);
@@ -288,10 +298,21 @@ mod tests {
         assert_eq!(s.degraded, 1);
         assert_eq!(s.route_cache_hits, 3);
         assert_eq!(s.route_cache_entries, 2);
+        assert_eq!(
+            (
+                s.route_cache_misses,
+                s.route_cache_bytes,
+                s.route_cache_evictions
+            ),
+            (4, 640, 1)
+        );
         assert_eq!(s.queue_depth_peak, 5);
         assert_eq!(s.route_latency_count, 1);
         assert!(s.route_latency_ms_p99 > 0.0);
         assert_eq!(s.per_tenant.len(), 2);
         assert!(s.render().contains("scatter-gather"));
+        assert!(s
+            .render()
+            .contains("route cache: 2 entries (640 bytes), 3 hits, 4 misses, 1 evictions"));
     }
 }

@@ -66,8 +66,6 @@ pub struct RouterConfig {
     /// Row budget per scatter-gather sub-query: partials must not be
     /// truncated before the merge, so this is deliberately large.
     pub fanout_limit: usize,
-    /// Bounded route-cache entries (merged `ok` responses).
-    pub route_cache_entries: usize,
     /// Heartbeat period.
     pub heartbeat: Duration,
     /// Read timeout on heartbeat probes and boot-time catalog fetches.
@@ -83,7 +81,6 @@ impl Default for RouterConfig {
             engine: EngineConfig::default(),
             default_limit: 1000,
             fanout_limit: 100_000,
-            route_cache_entries: 256,
             heartbeat: Duration::from_secs(2),
             probe_timeout: Duration::from_millis(500),
             markdown_after: 2,
@@ -125,12 +122,11 @@ impl Router {
         if worker_addrs.is_empty() {
             return Err("router needs at least one worker address".into());
         }
-        let route_cache = RouteCache::new(config.route_cache_entries);
         let inner = Arc::new(RouterInner {
             topology: Topology::new(worker_addrs),
             ctx: ExecCtx::local(),
             plan_cache: PlanCacheLayer::new(),
-            route_cache,
+            route_cache: RouteCache::default(),
             metrics: RouterMetrics::new(),
             streams: RouterStreams::new(),
             scheduler: Scheduler::new(config.scheduler.clone()),
@@ -644,11 +640,9 @@ impl Router {
     pub fn stats_report(&self) -> RouterStatsReport {
         let inner = &self.inner;
         inner.metrics.queue_depth_changed(inner.scheduler.depth());
-        inner.metrics.snapshot(
-            inner.route_cache.hits(),
-            inner.route_cache.len() as u64,
-            inner.topology.summaries(),
-        )
+        inner
+            .metrics
+            .snapshot(inner.route_cache.stats(), inner.topology.summaries())
     }
 
     /// The fleet as the router currently sees it (test/observability
@@ -926,12 +920,11 @@ fn route_query(
     }
 
     let limit = spec.limit.unwrap_or(inner.config.default_limit);
-    let cache_key = RouteCache::key(plan.fingerprint(), limit);
     // Traced requests bypass the cache: the client asked to watch the
     // hop actually happen.
     let caching = !job.request.wants_trace();
     if caching {
-        if let Some(mut hit) = inner.route_cache.get(&cache_key) {
+        if let Some(mut hit) = inner.route_cache.get(plan.fingerprint(), limit) {
             hit.id = id.clone();
             if let Some(result) = hit.result.as_mut() {
                 result.result_cache_hit = true;
@@ -969,7 +962,7 @@ fn route_query(
                 if caching && resp.is_ok() {
                     let mut cached = resp.clone();
                     cached.trace = None;
-                    inner.route_cache.put(cache_key, cached);
+                    inner.route_cache.put(plan.fingerprint(), limit, cached);
                 }
                 (resp, guests)
             }
@@ -1207,7 +1200,7 @@ fn route_query(
         let mut r = Response::ok(&id);
         r.result = Some(merged);
         if caching {
-            inner.route_cache.put(cache_key, r.clone());
+            inner.route_cache.put(plan.fingerprint(), limit, r.clone());
         }
         r
     } else {
@@ -1424,6 +1417,5 @@ mod tests {
         let c = RouterConfig::default();
         assert!(c.fanout_limit >= c.default_limit);
         assert!(c.markdown_after >= 1);
-        assert!(c.route_cache_entries > 0);
     }
 }

@@ -8,12 +8,19 @@
 //! different order land on the same entry. Level 2 is the existing
 //! [`sjcore::cache::ResultCache`], keyed by [`Plan::fingerprint`], which
 //! memoizes *materialized rows*; the service wires both together.
+//!
+//! Clients choose the knobs, so the key space is unbounded: the cache is
+//! a byte-budgeted [`Lru`] under [`PLAN_CACHE_BYTES`], each plan charged
+//! its JSON length.
 
 use parking_lot::Mutex;
 use sjcore::engine::{Plan, Query};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use sjdf::{CacheStats, Lru};
 use std::sync::Arc;
+
+/// Byte budget of one plan cache. A plan's JSON runs from a few hundred
+/// bytes to about a KiB, so this holds thousands of distinct queries.
+pub const PLAN_CACHE_BYTES: usize = 4 << 20;
 
 /// Cache key: the normalized query plus every engine knob that can change
 /// the solved plan. Window and step are carried as microsecond integers
@@ -54,20 +61,18 @@ fn knob_to_us(secs: f64) -> Option<u64> {
     Some((secs * 1e6) as u64)
 }
 
-/// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub entries: u64,
+/// Thread-safe memo of solved plans.
+#[derive(Debug)]
+pub struct PlanCacheLayer {
+    plans: Mutex<Lru<PlanKey, Arc<Plan>>>,
 }
 
-/// Thread-safe memo of solved plans.
-#[derive(Debug, Default)]
-pub struct PlanCacheLayer {
-    plans: Mutex<HashMap<PlanKey, Arc<Plan>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+impl Default for PlanCacheLayer {
+    fn default() -> Self {
+        PlanCacheLayer {
+            plans: Mutex::new(Lru::new(PLAN_CACHE_BYTES)),
+        }
+    }
 }
 
 impl PlanCacheLayer {
@@ -77,28 +82,25 @@ impl PlanCacheLayer {
 
     /// Look up a solved plan, counting the hit or miss.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<Plan>> {
-        let found = self.plans.lock().get(key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.plans.lock().get(key).cloned()
     }
 
     /// Insert a freshly solved plan. If another thread solved the same
     /// query first, its entry wins and is returned — both plans satisfy
     /// the query, and keeping one maximizes downstream result-cache hits.
     pub fn insert(&self, key: PlanKey, plan: Plan) -> Arc<Plan> {
+        let bytes = plan.to_json().len();
         let mut plans = self.plans.lock();
-        Arc::clone(plans.entry(key).or_insert_with(|| Arc::new(plan)))
+        if let Some(winner) = plans.peek(&key) {
+            return Arc::clone(winner);
+        }
+        let plan = Arc::new(plan);
+        plans.insert(key, Arc::clone(&plan), bytes);
+        plan
     }
 
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.plans.lock().len() as u64,
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.plans.lock().stats()
     }
 
     pub fn clear(&self) {
@@ -137,6 +139,7 @@ mod tests {
         assert!(cache.get(&key).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
+        assert_eq!(s.bytes, Plan::load("sensors").to_json().len() as u64);
     }
 
     #[test]

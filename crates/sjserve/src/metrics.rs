@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use sjdf::{CacheStats, StageCacheStats};
 
 const BUCKETS: usize = 64;
 
@@ -105,6 +106,12 @@ pub struct StatsReport {
     pub plan_cache_entries: u64,
     pub plan_cache_hits: u64,
     pub plan_cache_misses: u64,
+    /// Plan-cache bytes held (plans charged their JSON length).
+    #[serde(default)]
+    pub plan_cache_bytes: u64,
+    /// Plans evicted to respect the plan cache's byte budget.
+    #[serde(default)]
+    pub plan_cache_evictions: u64,
     pub result_cache_entries: u64,
     pub result_cache_bytes: u64,
     pub result_cache_hits: u64,
@@ -251,8 +258,12 @@ impl StatsReport {
             self.latency_count
         ));
         out.push_str(&format!(
-            "plan cache: {} entries, {} hits, {} misses\n",
-            self.plan_cache_entries, self.plan_cache_hits, self.plan_cache_misses
+            "plan cache: {} entries ({} bytes), {} hits, {} misses, {} evictions\n",
+            self.plan_cache_entries,
+            self.plan_cache_bytes,
+            self.plan_cache_hits,
+            self.plan_cache_misses,
+            self.plan_cache_evictions
         ));
         out.push_str(&format!(
             "result cache: {} entries ({} bytes), {} hits, {} misses, {} evictions\n",
@@ -337,6 +348,14 @@ pub struct RouterStatsReport {
     pub epoch_invalidations: u64,
     pub route_cache_hits: u64,
     pub route_cache_entries: u64,
+    #[serde(default)]
+    pub route_cache_misses: u64,
+    /// Bytes of merged answers held (columns plus rendered rows).
+    #[serde(default)]
+    pub route_cache_bytes: u64,
+    /// Answers evicted to respect the route cache's byte budget.
+    #[serde(default)]
+    pub route_cache_evictions: u64,
     pub rejected_queue_full: u64,
     pub timeouts: u64,
     pub queue_depth: u64,
@@ -393,8 +412,12 @@ impl RouterStatsReport {
             self.worker_markdowns, self.failovers, self.epoch_invalidations
         ));
         out.push_str(&format!(
-            "route cache: {} entries, {} hits\n",
-            self.route_cache_entries, self.route_cache_hits
+            "route cache: {} entries ({} bytes), {} hits, {} misses, {} evictions\n",
+            self.route_cache_entries,
+            self.route_cache_bytes,
+            self.route_cache_hits,
+            self.route_cache_misses,
+            self.route_cache_evictions
         ));
         out.push_str(&format!(
             "route latency: p50 {:.2}ms, p99 {:.2}ms, max {:.2}ms over {} queries\n",
@@ -672,8 +695,13 @@ impl ServiceMetrics {
     }
 
     /// Snapshot everything; cache numbers are supplied by the owner of
-    /// the caches so this module stays dependency-free.
-    pub fn snapshot(&self, caches: CacheCounters) -> StatsReport {
+    /// the caches.
+    pub fn snapshot(
+        &self,
+        plan: CacheStats,
+        result: CacheStats,
+        stage: StageCacheStats,
+    ) -> StatsReport {
         let latency = self.latency.lock();
         let per_tenant = self.tenants.lock().values().cloned().collect();
         StatsReport {
@@ -691,19 +719,21 @@ impl ServiceMetrics {
             latency_ms_p90: latency.quantile_ms(0.90),
             latency_ms_p99: latency.quantile_ms(0.99),
             latency_ms_max: latency.max_ms(),
-            plan_cache_entries: caches.plan_entries,
-            plan_cache_hits: caches.plan_hits,
-            plan_cache_misses: caches.plan_misses,
-            result_cache_entries: caches.result_entries,
-            result_cache_bytes: caches.result_bytes,
-            result_cache_hits: caches.result_hits,
-            result_cache_misses: caches.result_misses,
-            result_cache_evictions: caches.result_evictions,
-            stage_cache_entries: caches.stage_entries,
-            stage_cache_bytes: caches.stage_bytes,
-            stage_cache_hits: caches.stage_hits,
-            stage_cache_misses: caches.stage_misses,
-            stage_cache_evictions: caches.stage_evictions,
+            plan_cache_entries: plan.entries,
+            plan_cache_hits: plan.hits,
+            plan_cache_misses: plan.misses,
+            plan_cache_bytes: plan.bytes,
+            plan_cache_evictions: plan.evictions,
+            result_cache_entries: result.entries,
+            result_cache_bytes: result.bytes,
+            result_cache_hits: result.hits,
+            result_cache_misses: result.misses,
+            result_cache_evictions: result.evictions,
+            stage_cache_entries: stage.entries,
+            stage_cache_bytes: stage.bytes,
+            stage_cache_hits: stage.hits,
+            stage_cache_misses: stage.misses,
+            stage_cache_evictions: stage.evictions,
             requests_degraded: self.requests_degraded.load(Ordering::Relaxed),
             engine_task_retries: self.engine_task_retries.load(Ordering::Relaxed),
             engine_tasks_exhausted: self.engine_tasks_exhausted.load(Ordering::Relaxed),
@@ -723,27 +753,13 @@ impl ServiceMetrics {
     }
 }
 
-/// Cache counters handed to [`ServiceMetrics::snapshot`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheCounters {
-    pub plan_entries: u64,
-    pub plan_hits: u64,
-    pub plan_misses: u64,
-    pub result_entries: u64,
-    pub result_bytes: u64,
-    pub result_hits: u64,
-    pub result_misses: u64,
-    pub result_evictions: u64,
-    pub stage_entries: u64,
-    pub stage_bytes: u64,
-    pub stage_hits: u64,
-    pub stage_misses: u64,
-    pub stage_evictions: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snapshot_with_plan_cache(m: &ServiceMetrics, plan: CacheStats) -> StatsReport {
+        m.snapshot(plan, CacheStats::default(), StageCacheStats::default())
+    }
 
     #[test]
     fn histogram_percentiles_are_ordered() {
@@ -786,12 +802,16 @@ mod tests {
         m.queue_depth_changed(2);
         m.request_finished(true, Duration::from_millis(3));
         m.request_finished(false, Duration::from_millis(9));
-        let s = m.snapshot(CacheCounters {
-            plan_entries: 1,
-            plan_hits: 4,
-            plan_misses: 2,
-            ..CacheCounters::default()
-        });
+        let s = snapshot_with_plan_cache(
+            &m,
+            CacheStats {
+                entries: 1,
+                hits: 4,
+                misses: 2,
+                bytes: 900,
+                evictions: 3,
+            },
+        );
         assert_eq!(s.requests_total, 2);
         assert_eq!(s.requests_ok, 1);
         assert_eq!(s.requests_error, 1);
@@ -800,10 +820,14 @@ mod tests {
         assert_eq!(s.queue_depth, 2);
         assert_eq!(s.queue_depth_peak, 7);
         assert_eq!(s.plan_cache_hits, 4);
+        assert_eq!((s.plan_cache_bytes, s.plan_cache_evictions), (900, 3));
         assert_eq!(s.per_tenant.len(), 2);
         let a = &s.per_tenant[0];
         assert_eq!((a.tenant.as_str(), a.admitted, a.completed), ("a", 1, 1));
         assert!(s.render().contains("p50"));
+        assert!(s
+            .render()
+            .contains("plan cache: 1 entries (900 bytes), 4 hits, 2 misses, 3 evictions"));
     }
 
     #[test]
@@ -817,7 +841,7 @@ mod tests {
         };
         m.engine_failures(&f);
         m.engine_failures(&f);
-        let s = m.snapshot(CacheCounters::default());
+        let s = snapshot_with_plan_cache(&m, CacheStats::default());
         assert_eq!(s.requests_degraded, 1);
         assert_eq!(s.engine_task_retries, 10);
         assert_eq!(s.engine_tasks_exhausted, 4);
@@ -830,7 +854,7 @@ mod tests {
         let m = ServiceMetrics::new();
         m.trace_finished(12, 0);
         m.trace_finished(5, 3);
-        let s = m.snapshot(CacheCounters::default());
+        let s = snapshot_with_plan_cache(&m, CacheStats::default());
         assert_eq!(s.traces_recorded, 2);
         assert_eq!(s.trace_spans_recorded, 17);
         // The drop counter is a cumulative gauge: latest reading wins.
@@ -868,11 +892,40 @@ mod tests {
     }
 
     #[test]
+    fn reports_without_the_cache_byte_counters_still_parse() {
+        // Daemons from before the plan and route caches were bounded in
+        // bytes send none of these counters.
+        let strip = |json: String, fields: &[&str]| {
+            fields.iter().fold(json, |json, f| {
+                let out = json.replace(&format!("\"{f}\":0,"), "");
+                assert_ne!(out, json, "{f} not serialized");
+                out
+            })
+        };
+        let worker = strip(
+            serde_json::to_string(&StatsReport::default()).unwrap(),
+            &["plan_cache_bytes", "plan_cache_evictions"],
+        );
+        let back: StatsReport = serde_json::from_str(&worker).unwrap();
+        assert_eq!(back, StatsReport::default());
+        let router = strip(
+            serde_json::to_string(&RouterStatsReport::default()).unwrap(),
+            &[
+                "route_cache_misses",
+                "route_cache_bytes",
+                "route_cache_evictions",
+            ],
+        );
+        let back: RouterStatsReport = serde_json::from_str(&router).unwrap();
+        assert_eq!(back, RouterStatsReport::default());
+    }
+
+    #[test]
     fn report_round_trips_through_json() {
         let m = ServiceMetrics::new();
         m.request_started();
         m.request_finished(true, Duration::from_millis(5));
-        let s = m.snapshot(CacheCounters::default());
+        let s = snapshot_with_plan_cache(&m, CacheStats::default());
         let back: StatsReport = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(s, back);
     }

@@ -31,7 +31,7 @@ use sjdf::ExecCtx;
 use sjtrace::{EventKind, RecordedSpan};
 
 use crate::cache::{PlanCacheLayer, PlanKey};
-use crate::metrics::{CacheCounters, ServiceMetrics, StatsReport};
+use crate::metrics::{ServiceMetrics, StatsReport};
 use crate::protocol::{
     codes, AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, PlanInfo, QueryResult,
     Request, Response, SubscriptionAck, TraceSummary, Verb,
@@ -638,8 +638,6 @@ impl QueryService {
     /// Current service metrics, including both cache levels.
     pub fn stats_report(&self) -> StatsReport {
         let inner = &self.inner;
-        let plan = inner.plan_cache.stats();
-        let result = inner.result_cache.stats();
         let stage = inner.ctx.stage_cache().stats();
         inner.metrics.queue_depth_changed(inner.scheduler.depth());
         let streaming = {
@@ -650,21 +648,10 @@ impl QueryService {
                 stage.invalidations,
             )
         };
-        let mut report = inner.metrics.snapshot(CacheCounters {
-            plan_entries: plan.entries,
-            plan_hits: plan.hits,
-            plan_misses: plan.misses,
-            result_entries: inner.result_cache.len() as u64,
-            result_bytes: inner.result_cache.bytes() as u64,
-            result_hits: result.hits,
-            result_misses: result.misses,
-            result_evictions: result.evictions,
-            stage_entries: stage.entries,
-            stage_bytes: stage.bytes,
-            stage_hits: stage.hits,
-            stage_misses: stage.misses,
-            stage_evictions: stage.evictions,
-        });
+        let mut report =
+            inner
+                .metrics
+                .snapshot(inner.plan_cache.stats(), inner.result_cache.stats(), stage);
         report.streaming = Some(streaming);
         report
     }
@@ -1013,11 +1000,10 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
 
     // Level 2: materialized rows keyed by plan fingerprint.
     let fingerprint = plan.fingerprint();
-    let (schema, rows, result_cache_hit, engine_metrics) = match inner.result_cache.get(fingerprint)
-    {
-        Some((schema, rows)) => {
+    let (entry, result_cache_hit, engine_metrics) = match inner.result_cache.get(fingerprint) {
+        Some(entry) => {
             tracer.instant("result_cache_hit", "");
-            (schema, rows, true, None)
+            (entry, true, None)
         }
         None => {
             tracer.instant("result_cache_miss", "");
@@ -1040,18 +1026,18 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
                 }
             };
             drop(exec_span);
-            let schema = ds.schema().clone();
-            inner
+            let entry = inner
                 .result_cache
-                .put(fingerprint, schema.clone(), rows.clone());
+                .put(fingerprint, ds.schema().clone(), rows);
             // Attribute the collector's growth to this evaluation.
             // Concurrent evaluations may interleave (the collector is
             // shared), so this is an attribution, not an isolation.
             let delta = inner.ctx.metrics.report().delta_since(&baseline);
             inner.metrics.engine_failures(&delta.failures);
-            (schema, rows, false, Some(delta))
+            (entry, false, Some(delta))
         }
     };
+    let (schema, rows) = &*entry;
 
     let limit = spec.limit.unwrap_or(inner.config.default_limit);
     let row_count = rows.len();

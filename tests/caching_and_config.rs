@@ -1,8 +1,7 @@
-//! Integration tests: plan execution through both cache implementations,
-//! and derivation-engine configuration behaviour.
+//! Integration tests: plan execution through the result cache, and
+//! derivation-engine configuration behaviour.
 
 use scrubjay::prelude::*;
-use sjcore::cache::TieredCache;
 use sjcore::engine::EngineConfig;
 use sjcore::SjError;
 use sjdata::{dat1, Dat1Config};
@@ -27,38 +26,7 @@ fn rack_heat_query() -> Query {
 }
 
 #[test]
-fn tiered_cache_serves_repeat_executions() {
-    let ctx = ExecCtx::local();
-    let (catalog, _) = dat1(&ctx, &small_cfg()).unwrap();
-    let plan = QueryEngine::new(&catalog)
-        .solve(&rack_heat_query())
-        .unwrap();
-
-    // A hot tier too small for the final result forces demotion through
-    // the compressed cold tier.
-    let cache = TieredCache::new(16 << 10, 64 << 20);
-    let first = plan.execute_cached(&catalog, Some(&cache)).unwrap();
-    let n1 = first.count().unwrap();
-    let second = plan.execute_cached(&catalog, Some(&cache)).unwrap();
-    let n2 = second.count().unwrap();
-    assert_eq!(n1, n2);
-    let stats = cache.stats();
-    assert!(
-        stats.hot_hits + stats.cold_hits >= 1,
-        "repeat execution should hit some tier: {stats:?}"
-    );
-
-    // Rows are identical either way.
-    let mut a = first.collect().unwrap();
-    let mut b = second.collect().unwrap();
-    let key = |r: &Row| format!("{:?}", r.values());
-    a.sort_by_key(&key);
-    b.sort_by_key(&key);
-    assert_eq!(a, b);
-}
-
-#[test]
-fn flat_and_tiered_caches_agree_with_uncached_execution() {
+fn result_cache_agrees_with_uncached_execution() {
     let ctx = ExecCtx::local();
     let (catalog, _) = dat1(&ctx, &small_cfg()).unwrap();
     let plan = QueryEngine::new(&catalog)
@@ -71,12 +39,15 @@ fn flat_and_tiered_caches_agree_with_uncached_execution() {
         rows
     };
     let plain = sort(&plan.execute(&catalog, None).unwrap());
-    let flat = ResultCache::new(64 << 20);
-    let with_flat = sort(&plan.execute(&catalog, Some(&flat)).unwrap());
-    let tiered = TieredCache::new(64 << 20, 64 << 20);
-    let with_tiered = sort(&plan.execute_cached(&catalog, Some(&tiered)).unwrap());
-    assert_eq!(plain, with_flat);
-    assert_eq!(plain, with_tiered);
+    let cache = ResultCache::new(64 << 20);
+    let cold = sort(&plan.execute(&catalog, Some(&cache)).unwrap());
+    let warm = sort(&plan.execute(&catalog, Some(&cache)).unwrap());
+    assert_eq!(plain, cold);
+    assert_eq!(plain, warm);
+    assert!(
+        cache.stats().hits >= 1,
+        "the repeat execution hits the cache"
+    );
 }
 
 #[test]
