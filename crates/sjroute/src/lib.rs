@@ -20,7 +20,7 @@
 //!   fan-out for queries whose dataset cover spans shards (merged by
 //!   [`merge`]), heartbeat mark-down/mark-up, and epoch-driven cache
 //!   invalidation ([`cache`]). Implements
-//!   [`sjserve::server::RequestHandler`], so the stock JSON-lines TCP
+//!   [`sjserve::server::RequestHandler`], so the stock `sjwire` TCP
 //!   front end serves it unmodified.
 //! - [`stream`] — streamed fan-out: `subscribe: true` through the
 //!   router opens one upstream subscription per worker reproducing the

@@ -28,7 +28,6 @@ pub struct RouterMetrics {
     degraded: AtomicU64,
     queue_depth: AtomicU64,
     queue_depth_peak: AtomicU64,
-    requests_json: AtomicU64,
     requests_binary: AtomicU64,
     streams_active: AtomicU64,
     stream_frames_pushed: AtomicU64,
@@ -54,7 +53,6 @@ impl Default for RouterMetrics {
             degraded: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_depth_peak: AtomicU64::new(0),
-            requests_json: AtomicU64::new(0),
             requests_binary: AtomicU64::new(0),
             streams_active: AtomicU64::new(0),
             stream_frames_pushed: AtomicU64::new(0),
@@ -129,13 +127,9 @@ impl RouterMetrics {
         f(entry);
     }
 
-    /// One request arrived on a connection of the given transport.
-    pub fn protocol_request(&self, binary: bool) {
-        if binary {
-            self.requests_binary.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.requests_json.fetch_add(1, Ordering::Relaxed);
-        }
+    /// One request arrived over the wire.
+    pub fn protocol_request(&self) {
+        self.requests_binary.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A streamed fan-out subscription opened on this router.
@@ -229,7 +223,7 @@ impl RouterMetrics {
             route_latency_ms_p50: latency.quantile_ms(0.50),
             route_latency_ms_p99: latency.quantile_ms(0.99),
             route_latency_ms_max: latency.max_ms(),
-            requests_json: self.requests_json.load(Ordering::Relaxed),
+            requests_json: 0,
             requests_binary: self.requests_binary.load(Ordering::Relaxed),
             streams_active: self.streams_active.load(Ordering::Relaxed),
             stream_frames_pushed: self.stream_frames_pushed.load(Ordering::Relaxed),
@@ -263,9 +257,8 @@ mod tests {
         m.queue_depth_changed(5);
         m.queue_depth_changed(1);
         m.route_finished(Duration::from_millis(8));
-        m.protocol_request(true);
-        m.protocol_request(true);
-        m.protocol_request(false);
+        m.protocol_request();
+        m.protocol_request();
         m.stream_opened();
         m.stream_opened();
         m.stream_closed();
@@ -284,7 +277,7 @@ mod tests {
         let s = m.snapshot(cache, Vec::new());
         assert_eq!(s.routed_queries, 2);
         assert_eq!(s.requests_binary, 2);
-        assert_eq!(s.requests_json, 1);
+        assert_eq!(s.requests_json, 0);
         assert_eq!(s.streams_active, 1);
         assert_eq!(s.stream_frames_pushed, 2);
         assert_eq!(s.stream_re_emissions, 1);

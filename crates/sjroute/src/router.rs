@@ -694,8 +694,8 @@ impl RequestHandler for Router {
         Router::connection_closed(self, sink)
     }
 
-    fn protocol_request(&self, binary: bool) {
-        self.inner.metrics.protocol_request(binary)
+    fn protocol_request(&self) {
+        self.inner.metrics.protocol_request()
     }
 
     fn shutdown(&self) -> RouterStatsReport {

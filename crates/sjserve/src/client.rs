@@ -1,24 +1,22 @@
 //! Typed blocking client for the service protocol.
 //!
-//! One TCP connection, requests answered in order. By default the
-//! client speaks the framed binary transport (a [`sjwire::Hello`] /
-//! [`sjwire::HelloAck`] exchange, then CRC-checked frames carrying
-//! columnar row payloads); [`Client::connect_json`] keeps the original
-//! JSON-lines transport for debugging and old servers. Used by
-//! `sjq --server`, by `sjrouted`'s worker hops, and by the integration
-//! tests; embedders wanting zero-copy access should hold a
+//! One TCP connection, requests answered in order, over the framed
+//! binary transport: a [`sjwire::Hello`] / [`sjwire::HelloAck`]
+//! exchange, then CRC-checked frames carrying columnar row payloads.
+//! Used by `sjq --server`, by `sjrouted`'s worker hops, and by the
+//! integration tests; embedders wanting zero-copy access should hold a
 //! [`QueryService`] directly instead.
 //!
 //! [`QueryService`]: crate::service::QueryService
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{ErrorBody, QuerySpec, Request, Response, Verb, WireInfo};
-use crate::wire::{decode_response, encode_request, encode_request_plain};
+use crate::wire::{decode_response, encode_request};
 use sjwire::{read_frame, write_frame, Hello, HelloAck, MsgType, WireError};
 
 /// Client-side failure: transport, framing, or a server-reported error.
@@ -59,36 +57,27 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// Which protocol this connection negotiated.
-enum Transport {
-    /// One JSON object per line, both directions.
-    JsonLines,
-    /// CRC-checked frames; `columnar` is the negotiated payload codec.
-    Binary { columnar: bool },
-}
-
 /// A connected client.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     tenant: String,
     next_id: u64,
-    transport: Transport,
     /// What the connection negotiated (see [`Client::wire_info`]).
     wire: WireInfo,
     /// Pushed frames that arrived while waiting for a request's
-    /// response (binary transport only — frame types disambiguate).
+    /// response (frame types disambiguate).
     pending: VecDeque<Response>,
 }
 
 impl Client {
-    /// Connect as the anonymous tenant (binary transport).
+    /// Connect as the anonymous tenant.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         Self::connect_as(addr, "")
     }
 
-    /// Connect with a tenant name (the fair-queueing bucket), speaking
-    /// the framed binary transport.
+    /// Connect with a tenant name (the fair-queueing bucket). Fails if
+    /// the server does not pin the `columnar` codec.
     pub fn connect_as(addr: impl ToSocketAddrs, tenant: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
@@ -111,41 +100,17 @@ impl Client {
         }
         let ack: HelloAck = serde_json::from_slice(&frame.payload)
             .map_err(|e| bad(format!("handshake: bad ack: {e}")))?;
-        let columnar = ack.codec == sjwire::CODEC_COLUMNAR;
+        if ack.codec != sjwire::CODEC_COLUMNAR {
+            return Err(bad(format!("handshake: unsupported codec {:?}", ack.codec)));
+        }
         Ok(Client {
             reader,
             writer,
             tenant: tenant.to_string(),
             next_id: 0,
-            transport: Transport::Binary { columnar },
             wire: WireInfo {
                 wire_version: ack.wire_version,
                 codec: ack.codec,
-            },
-            pending: VecDeque::new(),
-        })
-    }
-
-    /// Connect as the anonymous tenant over plain JSON-lines.
-    pub fn connect_json(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Self::connect_json_as(addr, "")
-    }
-
-    /// Connect over the original JSON-lines transport: what an old
-    /// client, a shell script piping into `nc`, or a debugging session
-    /// speaks. Works against every server version.
-    pub fn connect_json_as(addr: impl ToSocketAddrs, tenant: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-            tenant: tenant.to_string(),
-            next_id: 0,
-            transport: Transport::JsonLines,
-            wire: WireInfo {
-                wire_version: crate::protocol::PROTO_VERSION,
-                codec: sjwire::CODEC_JSON_LINES.into(),
             },
             pending: VecDeque::new(),
         })
@@ -174,67 +139,32 @@ impl Client {
     }
 
     /// Send one request and block for its response. The response's `id`
-    /// must echo the request's; anything else is a protocol error. On
-    /// the binary transport, pushed window frames that arrive first are
-    /// queued for [`Client::next_frame`] instead of being misread as
-    /// the response.
+    /// must echo the request's; anything else is a protocol error.
+    /// Pushed window frames that arrive first are queued for
+    /// [`Client::next_frame`] instead of being misread as the response.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        match self.transport {
-            Transport::JsonLines => {
-                let mut line = serde_json::to_string(request)
-                    .map_err(|e| ClientError::Protocol(format!("encode: {e}")))?;
-                line.push('\n');
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.flush()?;
-                let response = self.read_json_message()?;
-                Self::check_id(&response, request)?;
-                Ok(response)
-            }
-            Transport::Binary { columnar } => {
-                let payload = if columnar {
-                    encode_request(request)
-                } else {
-                    encode_request_plain(request)
-                };
-                write_frame(&mut self.writer, MsgType::Request, &payload)?;
-                loop {
-                    let frame = read_frame(&mut self.reader)?;
-                    let response = decode_response(&frame.payload)?;
-                    match frame.msg_type {
-                        MsgType::Response => {
-                            Self::check_id(&response, request)?;
-                            return Ok(response);
-                        }
-                        MsgType::WindowFrame => self.pending.push_back(response),
-                        other => {
-                            return Err(ClientError::Protocol(format!(
-                                "unexpected {other:?} frame while awaiting a response"
-                            )))
-                        }
-                    }
+        write_frame(&mut self.writer, MsgType::Request, &encode_request(request))?;
+        loop {
+            let frame = read_frame(&mut self.reader)?;
+            let response = decode_response(&frame.payload)?;
+            match frame.msg_type {
+                MsgType::Response if response.id.is_empty() || response.id == request.id => {
+                    return Ok(response)
+                }
+                MsgType::Response => {
+                    return Err(ClientError::Protocol(format!(
+                        "response id `{}` does not match request id `{}`",
+                        response.id, request.id
+                    )))
+                }
+                MsgType::WindowFrame => self.pending.push_back(response),
+                other => {
+                    return Err(ClientError::Protocol(format!(
+                        "unexpected {other:?} frame while awaiting a response"
+                    )))
                 }
             }
         }
-    }
-
-    fn check_id(response: &Response, request: &Request) -> Result<(), ClientError> {
-        if !response.id.is_empty() && response.id != request.id {
-            return Err(ClientError::Protocol(format!(
-                "response id `{}` does not match request id `{}`",
-                response.id, request.id
-            )));
-        }
-        Ok(())
-    }
-
-    fn read_json_message(&mut self) -> Result<Response, ClientError> {
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(ClientError::Protocol("server closed the connection".into()));
-        }
-        serde_json::from_str(reply.trim_end())
-            .map_err(|e| ClientError::Protocol(format!("decode: {e}")))
     }
 
     /// `query`: execute and return the ok-response, or the server error.
@@ -274,11 +204,9 @@ impl Client {
     /// Register a standing query (`query` with `subscribe: true`) and
     /// return its [`crate::protocol::SubscriptionAck`] response. After
     /// this succeeds the server pushes unsolicited window frames on
-    /// this connection — read them with [`Client::next_frame`]. On the
-    /// JSON-lines transport, other request methods on a subscribed
-    /// connection would misattribute frames to their own responses; the
-    /// binary transport disambiguates by frame type. Use a separate
-    /// connection for appends either way.
+    /// this connection — read them with [`Client::next_frame`]. Frame
+    /// types keep them apart from responses, but use a separate
+    /// connection for appends all the same.
     pub fn subscribe(&mut self, spec: QuerySpec) -> Result<Response, ClientError> {
         let id = self.fresh_id();
         let request = Request::subscribe(&id, &self.tenant, spec).with_proto();
@@ -338,13 +266,8 @@ impl Client {
         if let Some(queued) = self.pending.pop_front() {
             return Ok(queued);
         }
-        match self.transport {
-            Transport::JsonLines => self.read_json_message(),
-            Transport::Binary { .. } => {
-                let frame = read_frame(&mut self.reader)?;
-                Ok(decode_response(&frame.payload)?)
-            }
-        }
+        let frame = read_frame(&mut self.reader)?;
+        Ok(decode_response(&frame.payload)?)
     }
 
     /// `explain`: solve without executing.

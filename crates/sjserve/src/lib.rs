@@ -10,9 +10,10 @@
 //! - [`service::QueryService`] — owns the catalog, an admission-controlled
 //!   scheduler, and a two-level cache (solved [`Plan`]s keyed by
 //!   normalized query, materialized results keyed by plan fingerprint).
-//! - [`server`] — a JSON-lines TCP front end (`query` / `explain` /
-//!   `stats` / `health` / `shutdown` verbs) with one thread per
-//!   connection and a bounded worker pool behind it.
+//! - [`server`] — the TCP front end speaking framed `sjwire` with
+//!   columnar payloads (`query` / `explain` / `stats` / `health` /
+//!   `shutdown` verbs, the last from loopback peers only) with one
+//!   thread per connection and a bounded worker pool behind it.
 //! - [`client::Client`] — the typed blocking client `sjq --server` uses.
 //! - [`metrics::ServiceMetrics`] — request, rejection, timeout, queue
 //!   depth, latency-percentile, and cache-hit accounting, exposed through

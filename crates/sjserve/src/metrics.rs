@@ -167,8 +167,8 @@ pub struct StatsReport {
     /// stream engine (older builds) and on reports from routers.
     #[serde(default)]
     pub streaming: Option<StreamStatsReport>,
-    /// Requests that arrived over the JSON-lines transport (protocol
-    /// v1: old clients, `nc` debugging).
+    /// Always 0: the JSON-lines transport was retired. Kept so parsers
+    /// of older reports keep working.
     #[serde(default)]
     pub requests_json: u64,
     /// Requests that arrived over framed binary connections (sjwire).
@@ -298,8 +298,8 @@ impl StatsReport {
             self.traces_recorded, self.trace_spans_recorded, self.trace_spans_dropped
         ));
         out.push_str(&format!(
-            "transport: {} binary requests, {} json-lines requests\n",
-            self.requests_binary, self.requests_json
+            "transport: {} binary requests\n",
+            self.requests_binary
         ));
         if let Some(streaming) = &self.streaming {
             out.push_str(&streaming.render());
@@ -367,7 +367,8 @@ pub struct RouterStatsReport {
     pub route_latency_ms_p50: f64,
     pub route_latency_ms_p99: f64,
     pub route_latency_ms_max: f64,
-    /// Requests that arrived over the JSON-lines transport.
+    /// Always 0: the JSON-lines transport was retired. Kept so parsers
+    /// of older reports keep working.
     #[serde(default)]
     pub requests_json: u64,
     /// Requests that arrived over framed binary connections (sjwire).
@@ -427,8 +428,8 @@ impl RouterStatsReport {
             self.route_latency_count
         ));
         out.push_str(&format!(
-            "transport: {} binary requests, {} json-lines requests\n",
-            self.requests_binary, self.requests_json
+            "transport: {} binary requests\n",
+            self.requests_binary
         ));
         out.push_str(&format!(
             "streams: {} active, {} frames pushed ({} re-emissions) from {} worker frames, \
@@ -486,7 +487,6 @@ pub struct ServiceMetrics {
     subscriptions_opened: AtomicU64,
     subscriptions_failed: AtomicU64,
     subscriptions_closed: AtomicU64,
-    requests_json: AtomicU64,
     requests_binary: AtomicU64,
     latency: Mutex<Histogram>,
     tenants: Mutex<BTreeMap<String, TenantStats>>,
@@ -517,7 +517,6 @@ impl Default for ServiceMetrics {
             subscriptions_opened: AtomicU64::new(0),
             subscriptions_failed: AtomicU64::new(0),
             subscriptions_closed: AtomicU64::new(0),
-            requests_json: AtomicU64::new(0),
             requests_binary: AtomicU64::new(0),
             latency: Mutex::new(Histogram::default()),
             tenants: Mutex::new(BTreeMap::new()),
@@ -617,15 +616,10 @@ impl ServiceMetrics {
         self.subscriptions_closed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One request arrived on a connection of the given transport
-    /// (recorded by the TCP front end; in-process embedders count as
-    /// neither).
-    pub fn protocol_request(&self, binary: bool) {
-        if binary {
-            self.requests_binary.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.requests_json.fetch_add(1, Ordering::Relaxed);
-        }
+    /// One request arrived over the wire (recorded by the TCP front
+    /// end; in-process embedders are not counted).
+    pub fn protocol_request(&self) {
+        self.requests_binary.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Compose the streaming section of a [`StatsReport`] from the
@@ -744,7 +738,7 @@ impl ServiceMetrics {
             traces_recorded: self.traces_recorded.load(Ordering::Relaxed),
             trace_spans_recorded: self.trace_spans_recorded.load(Ordering::Relaxed),
             trace_spans_dropped: self.trace_spans_dropped.load(Ordering::Relaxed),
-            requests_json: self.requests_json.load(Ordering::Relaxed),
+            requests_json: 0,
             requests_binary: self.requests_binary.load(Ordering::Relaxed),
             // Filled in by the service, which owns the stream engine.
             streaming: None,

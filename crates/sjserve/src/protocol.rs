@@ -1,11 +1,13 @@
-//! The wire protocol: JSON-lines requests and responses.
+//! The protocol's messages: requests and responses.
 //!
-//! Every message is one JSON object on one line, terminated by `\n`.
-//! Requests carry a client-chosen `id` that is echoed on the response, so
-//! a client may pipeline several requests over one connection and match
-//! replies by id. All the payload variants live on [`Response`] as
-//! optional fields rather than an enum, which keeps the format obvious in
-//! a network capture and trivially extensible.
+//! On the wire each message is one `sjwire` frame whose payload is the
+//! message as a JSON envelope with its hot row vectors carried as
+//! columnar sections instead (see [`crate::wire`]). Requests carry a
+//! client-chosen `id` that is echoed on the response, so a client may
+//! pipeline several requests over one connection and match replies by
+//! id. All the payload variants live on [`Response`] as optional fields
+//! rather than an enum, which keeps the envelope obvious in a network
+//! capture and trivially extensible.
 
 use serde::{Deserialize, Serialize};
 use sjdf::metrics::MetricsReport;
@@ -426,10 +428,9 @@ pub struct SubscriptionAck {
 /// actually speaking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireInfo {
-    /// 1 for JSON-lines, [`sjwire::WIRE_VERSION`] (or the negotiated
-    /// minimum) for framed binary connections.
+    /// [`sjwire::WIRE_VERSION`], or the lower version a client offered.
     pub wire_version: u32,
-    /// `"json-lines"` or `"columnar"`.
+    /// The payload codec: always `"columnar"`.
     pub codec: String,
 }
 

@@ -1,37 +1,38 @@
-//! The TCP front end: framed binary by default, JSON-lines forever.
+//! The TCP front end: framed sjwire with the columnar codec, the one
+//! transport both daemons speak.
 //!
 //! One accept thread, one handler thread per connection, std networking
-//! only. The first byte of a connection picks the transport: `{` (a
-//! JSON object opening — also what `nc` and every pre-binary client
-//! sends) selects the JSON-lines loop, [`sjwire::MAGIC`] selects the
-//! framed binary loop. Binary connections open with a
-//! [`sjwire::Hello`] / [`sjwire::HelloAck`] exchange pinning the wire
-//! version and payload codec; every subsequent message is one
+//! only. A connection opens with a [`sjwire::Hello`] /
+//! [`sjwire::HelloAck`] exchange pinning the wire version and the
+//! `columnar` payload codec; every subsequent message is one
 //! CRC-checked frame whose payload is a JSON envelope plus columnar row
-//! sections (see [`crate::wire`]).
+//! sections (see [`crate::wire`]). A peer whose first byte is not
+//! [`sjwire::MAGIC`] gets one plain-text line naming the protocol, and
+//! a Hello offering any other codec gets one `bad_request` frame naming
+//! it; either connection is then closed.
 //!
-//! On either transport, malformed *payloads* get a structured
-//! `bad_request` error instead of a dropped connection, so a client
-//! with one bad message does not lose its pipeline. Broken *framing*
-//! (bad magic, corrupt CRC, oversized length, a JSON line longer than
-//! [`sjwire::MAX_FRAME_BYTES`]) gets a structured error and then the
-//! connection is closed — once framing is suspect there is no safe
-//! resync point.
+//! Malformed *payloads* get a structured `bad_request` error instead of
+//! a dropped connection, so a client with one bad message does not lose
+//! its pipeline. Broken *framing* (bad magic, corrupt CRC, oversized
+//! length) gets a structured error and then the connection is closed —
+//! once framing is suspect there is no safe resync point.
 //!
-//! A `shutdown` request acknowledges, then stops the accept loop, the
-//! worker pool, and dumps the final metrics snapshot to stderr — the
-//! service equivalent of a batch tool printing its summary on exit.
+//! A `shutdown` request from a loopback peer acknowledges, then stops
+//! the accept loop, the worker pool, and dumps the final metrics
+//! snapshot to stderr — the service equivalent of a batch tool printing
+//! its summary on exit. From any other peer it is refused with
+//! `bad_request` and the daemon keeps serving.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::protocol::{codes, ErrorBody, Request, Response, Verb, WireInfo, PROTO_VERSION};
+use crate::protocol::{codes, ErrorBody, Request, Response, Verb, WireInfo};
 use crate::service::QueryService;
 use crate::wire::{decode_request, encode_response};
-use sjwire::{negotiate, read_frame, write_frame, Hello, MsgType, WireError, MAX_FRAME_BYTES};
+use sjwire::{negotiate, read_frame, write_frame, Hello, MsgType, WireError};
 
 /// Where unsolicited frames (standing-query window emissions) for one
 /// connection are pushed. The TCP front end hands every connection's
@@ -44,41 +45,26 @@ pub trait EmissionSink: Send + Sync {
     fn send(&self, frame: &Response) -> std::io::Result<()>;
 }
 
-/// [`EmissionSink`] over a shared TCP writer: request responses and
-/// pushed frames interleave whole-line-atomically because every write
-/// happens under the same mutex.
-struct TcpSink {
-    writer: Arc<Mutex<TcpStream>>,
-}
-
-impl EmissionSink for TcpSink {
-    fn send(&self, frame: &Response) -> std::io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        write_line(&mut writer, frame)
-    }
-}
-
-/// [`EmissionSink`] over the binary transport: pushed frames go out as
-/// [`MsgType::WindowFrame`] frames under the same writer mutex the
-/// request/response loop uses, so frames never interleave mid-frame.
+/// [`EmissionSink`] over a connection: responses and pushed
+/// [`MsgType::WindowFrame`] frames are written under one mutex, so
+/// frames never interleave mid-frame.
 struct BinarySink {
-    writer: Arc<Mutex<TcpStream>>,
-    /// Negotiated payload codec: columnar sections, or rows inline in
-    /// the envelope (the fallback for clients offering unknown codecs).
-    columnar: bool,
+    writer: Mutex<TcpStream>,
+}
+
+impl BinarySink {
+    fn write(&self, msg_type: MsgType, response: &mut Response) -> std::io::Result<()> {
+        let payload = encode_response(response);
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        write_frame(&mut *writer, msg_type, &payload)
+    }
 }
 
 impl EmissionSink for BinarySink {
     fn send(&self, frame: &Response) -> std::io::Result<()> {
-        let payload = if self.columnar {
-            // Window frames are small (one window's rows); the clone
-            // that lets `encode_response` detach them is cheap here.
-            encode_response(&mut frame.clone())
-        } else {
-            crate::wire::encode_response_plain(frame)
-        };
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        write_frame(&mut *writer, MsgType::WindowFrame, &payload)
+        // Window frames are small (one window's rows); the clone that
+        // lets `encode_response` detach them is cheap here.
+        self.write(MsgType::WindowFrame, &mut frame.clone())
     }
 }
 
@@ -110,13 +96,10 @@ pub trait RequestHandler: Clone + Send + 'static {
         let _ = sink;
     }
 
-    /// One request arrived on a connection of the given transport
-    /// (`binary` = framed, else JSON-lines). Called by the front end
-    /// before dispatch so per-protocol counters reach the stats report.
-    /// Default: not counted.
-    fn protocol_request(&self, binary: bool) {
-        let _ = binary;
-    }
+    /// One request arrived over the wire. Called by the front end
+    /// before dispatch so the transport counter reaches the stats
+    /// report. Default: not counted.
+    fn protocol_request(&self) {}
 
     /// Stop the backend's own workers and return the final summary.
     fn shutdown(&self) -> Self::Summary;
@@ -137,8 +120,8 @@ impl RequestHandler for QueryService {
         QueryService::connection_closed(self, sink)
     }
 
-    fn protocol_request(&self, binary: bool) {
-        QueryService::note_protocol_request(self, binary)
+    fn protocol_request(&self) {
+        QueryService::note_protocol_request(self)
     }
 
     fn shutdown(&self) -> Self::Summary {
@@ -229,128 +212,73 @@ fn accept_loop<H: RequestHandler>(
 /// the peer has read *nothing* for the whole interval.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Stamp the negotiated transport onto responses that report on the
-/// service itself, so `sjq --stats`/`--health` show what the wire is
-/// actually speaking.
-fn stamp_wire(verb: Verb, response: &mut Response, info: &WireInfo) {
-    if matches!(verb, Verb::Stats | Verb::Health) {
-        response.wire = Some(info.clone());
+/// The one line a peer that does not open with [`sjwire::MAGIC`] gets
+/// before the connection closes.
+const NOT_SJWIRE: &str = "error: this port speaks sjwire binary frames only (first byte 0x53); \
+                          connect with sjq or sjserve::Client\n";
+
+/// How much of a refused peer's input is drained, and for how long,
+/// before its socket is dropped (see [`close_after_refusal`]).
+const REFUSAL_DRAIN_BYTES: usize = 64 << 10;
+const REFUSAL_DRAIN_TIME: Duration = Duration::from_secs(1);
+
+/// Close a connection after its last answer has been written. Dropping
+/// a socket with unread input makes the kernel send a reset, which can
+/// destroy that answer before the peer reads it; so half-close the
+/// write side, then drain what the peer sends, within bounds, until it
+/// closes too.
+fn close_after_refusal(mut stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REFUSAL_DRAIN_TIME;
+    let (mut buf, mut drained) = ([0u8; 4096], 0);
+    while drained < REFUSAL_DRAIN_BYTES {
+        // A zero timeout is an error, so an expired deadline ends the
+        // drain too.
+        let left = deadline.saturating_duration_since(Instant::now());
+        match stream
+            .set_read_timeout(Some(left))
+            .and_then(|()| stream.read(&mut buf))
+        {
+            Ok(n) if n > 0 => drained += n,
+            _ => break,
+        }
     }
 }
 
+/// Whether `peer` may stop the daemon over the wire: loopback peers
+/// only. An IPv4 peer of a dual-stack listener appears as
+/// `::ffff:a.b.c.d`, which is not an IPv6 loopback address, so the
+/// address is canonicalized first.
+fn may_shutdown(peer: Option<IpAddr>) -> bool {
+    peer.is_some_and(|ip| ip.to_canonical().is_loopback())
+}
+
 fn handle_connection<H: RequestHandler>(
-    stream: TcpStream,
+    mut stream: TcpStream,
     addr: SocketAddr,
     service: H,
     shutdown: Arc<AtomicBool>,
 ) {
     let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
-    // Sniff the transport on byte one without consuming it: `{` (or
-    // anything else — favors a readable JSON parse error) is the
-    // JSON-lines protocol; only the frame magic selects binary.
+    // Check byte one without consuming it, so a JSON or text client
+    // gets a readable refusal instead of a frame it cannot parse.
     let mut first = [0u8; 1];
-    let binary = match stream.peek(&mut first) {
+    match stream.peek(&mut first) {
         Ok(0) | Err(_) => return, // closed before the first byte
-        Ok(_) => first[0] == sjwire::MAGIC,
-    };
-    if binary {
-        handle_binary_connection(stream, addr, service, shutdown)
-    } else {
-        handle_json_connection(stream, addr, service, shutdown)
+        Ok(_) if first[0] != sjwire::MAGIC => {
+            let _ = stream.write_all(NOT_SJWIRE.as_bytes());
+            return close_after_refusal(&stream);
+        }
+        Ok(_) => {}
     }
-}
-
-fn handle_json_connection<H: RequestHandler>(
-    stream: TcpStream,
-    addr: SocketAddr,
-    service: H,
-    shutdown: Arc<AtomicBool>,
-) {
+    let peer = stream.peer_addr().ok().map(|a| a.ip());
     let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
-    // The writer is shared between this request/response loop and any
-    // standing-query sinks the service registers for this connection, so
-    // pushed window frames interleave with responses line-atomically.
-    let writer = Arc::new(Mutex::new(stream));
-    let sink: Arc<dyn EmissionSink> = Arc::new(TcpSink {
-        writer: Arc::clone(&writer),
-    });
-    let wire_info = WireInfo {
-        wire_version: PROTO_VERSION,
-        codec: sjwire::CODEC_JSON_LINES.into(),
-    };
-    loop {
-        let mut line = Vec::new();
-        // Read at most one byte past the cap, so a line that never ends
-        // cannot grow this buffer without bound.
-        match reader
-            .by_ref()
-            .take(MAX_FRAME_BYTES as u64 + 1)
-            .read_until(b'\n', &mut line)
-        {
-            Ok(0) | Err(_) => break, // client went away
-            Ok(_) => {}
-        }
-        if line.len() > MAX_FRAME_BYTES && line.last() != Some(&b'\n') {
-            let _ = sink.send(&Response::fail(
-                "",
-                ErrorBody::new(
-                    codes::BAD_REQUEST,
-                    format!("request line exceeds {MAX_FRAME_BYTES} bytes"),
-                ),
-            ));
-            break;
-        }
-        if line.trim_ascii().is_empty() {
-            continue;
-        }
-        let response = match serde_json::from_slice::<Request>(&line) {
-            Ok(request) => {
-                service.protocol_request(false);
-                let verb = request.verb;
-                let wants_shutdown = verb == Verb::Shutdown;
-                let mut response = service.handle_streaming(request, &sink);
-                stamp_wire(verb, &mut response, &wire_info);
-                if wants_shutdown {
-                    if sink.send(&response).is_err() {
-                        // Ack failed; shut down regardless.
-                    }
-                    service.connection_closed(&sink);
-                    shutdown.store(true, Ordering::Release);
-                    // Nudge accept() so the loop observes the flag.
-                    let _ = TcpStream::connect(addr);
-                    return;
-                }
-                response
-            }
-            Err(e) => Response::fail(
-                "",
-                ErrorBody::new(codes::BAD_REQUEST, format!("unparsable request: {e}")),
-            ),
-        };
-        if sink.send(&response).is_err() {
-            break;
-        }
-    }
-    service.connection_closed(&sink);
-}
-
-fn handle_binary_connection<H: RequestHandler>(
-    stream: TcpStream,
-    addr: SocketAddr,
-    service: H,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
-    let writer = Arc::new(Mutex::new(stream));
 
     // The connection opens with Hello/HelloAck pinning version + codec.
-    let ack = match read_frame(&mut reader) {
+    let negotiated = match read_frame(&mut reader) {
         Ok(f) if f.msg_type == MsgType::Hello => {
             // A malformed Hello negotiates conservatively (defaults).
             let hello: Hello = serde_json::from_slice(&f.payload).unwrap_or_default();
@@ -358,44 +286,51 @@ fn handle_binary_connection<H: RequestHandler>(
         }
         _ => return, // framing already broken; nothing sane to answer
     };
-    {
-        let payload = serde_json::to_vec(&ack).expect("ack serializes");
-        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-        if write_frame(&mut *w, MsgType::HelloAck, &payload).is_err() {
-            return;
+    let ack = match negotiated {
+        Ok(ack) => ack,
+        Err(message) => {
+            let mut refusal = Response::fail("", ErrorBody::new(codes::BAD_REQUEST, message));
+            let payload = encode_response(&mut refusal);
+            let _ = write_frame(&mut stream, MsgType::Response, &payload);
+            return close_after_refusal(&stream);
         }
+    };
+    let payload = serde_json::to_vec(&ack).expect("ack serializes");
+    if write_frame(&mut stream, MsgType::HelloAck, &payload).is_err() {
+        return;
     }
-    let columnar = ack.codec == sjwire::CODEC_COLUMNAR;
     let wire_info = WireInfo {
         wire_version: ack.wire_version,
-        codec: ack.codec.clone(),
+        codec: ack.codec,
     };
-    let sink: Arc<dyn EmissionSink> = Arc::new(BinarySink {
-        writer: Arc::clone(&writer),
-        columnar,
+    let frames = Arc::new(BinarySink {
+        writer: Mutex::new(stream),
     });
-    let respond = |response: &mut Response, msg_type: MsgType| -> std::io::Result<()> {
-        let payload = if columnar {
-            encode_response(response)
-        } else {
-            crate::wire::encode_response_plain(response)
-        };
-        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-        write_frame(&mut *w, msg_type, &payload)
-    };
+    let sink: Arc<dyn EmissionSink> = frames.clone();
     loop {
         let (mut response, framing_broken) = match read_frame(&mut reader) {
             Ok(f) if f.msg_type == MsgType::Request => match decode_request(&f.payload) {
+                Ok(request) if request.verb == Verb::Shutdown && !may_shutdown(peer) => {
+                    service.protocol_request();
+                    let refusal = ErrorBody::new(
+                        codes::BAD_REQUEST,
+                        "shutdown is accepted from loopback peers only",
+                    );
+                    (Response::fail(&request.id, refusal), false)
+                }
                 Ok(request) => {
-                    service.protocol_request(true);
+                    service.protocol_request();
                     let verb = request.verb;
-                    let wants_shutdown = verb == Verb::Shutdown;
                     let mut response = service.handle_streaming(request, &sink);
-                    stamp_wire(verb, &mut response, &wire_info);
-                    if wants_shutdown {
-                        let _ = respond(&mut response, MsgType::Response);
+                    // So `sjq --stats`/`--health` show the negotiated wire.
+                    if matches!(verb, Verb::Stats | Verb::Health) {
+                        response.wire = Some(wire_info.clone());
+                    }
+                    if verb == Verb::Shutdown {
+                        let _ = frames.write(MsgType::Response, &mut response);
                         service.connection_closed(&sink);
                         shutdown.store(true, Ordering::Release);
+                        // Nudge accept() so the loop observes the flag.
                         let _ = TcpStream::connect(addr);
                         return;
                     }
@@ -431,19 +366,15 @@ fn handle_binary_connection<H: RequestHandler>(
                 true,
             ),
         };
-        if respond(&mut response, MsgType::Response).is_err() || framing_broken {
+        if frames.write(MsgType::Response, &mut response).is_err() {
+            break;
+        }
+        if framing_broken {
+            close_after_refusal(reader.get_ref());
             break;
         }
     }
     service.connection_closed(&sink);
-}
-
-fn write_line(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut text = serde_json::to_string(response)
-        .unwrap_or_else(|e| format!("{{\"id\":\"\",\"status\":\"error\",\"error\":{{\"code\":\"internal\",\"message\":\"serialize: {e}\"}}}}"));
-    text.push('\n');
-    writer.write_all(text.as_bytes())?;
-    writer.flush()
 }
 
 /// Convenience for binaries: serve until shutdown, then dump metrics to
@@ -469,4 +400,20 @@ pub fn wait_ready(addr: SocketAddr, budget: Duration) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shutdown_is_accepted_from_loopback_peers_only() {
+        for ip in ["127.0.0.1", "::1", "::ffff:127.0.0.1"] {
+            assert!(may_shutdown(Some(ip.parse().unwrap())), "{ip}");
+        }
+        for ip in ["10.0.0.5", "::ffff:10.0.0.5"] {
+            assert!(!may_shutdown(Some(ip.parse().unwrap())), "{ip}");
+        }
+        assert!(!may_shutdown(None), "a peer whose address is unknown");
+    }
 }

@@ -317,10 +317,10 @@ impl QueryService {
         response
     }
 
-    /// Record which transport one request arrived on (called by the TCP
-    /// front end, which owns the sniffing/negotiation).
-    pub fn note_protocol_request(&self, binary: bool) {
-        self.inner.metrics.protocol_request(binary);
+    /// Count one request that arrived over the wire (called by the TCP
+    /// front end).
+    pub fn note_protocol_request(&self) {
+        self.inner.metrics.protocol_request();
     }
 
     /// Drop every subscription bound to `sink` (its connection ended).

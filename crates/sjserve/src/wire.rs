@@ -86,25 +86,6 @@ fn bad_json(what: &str, err: serde_json::Error) -> WireError {
     WireError::Decode(format!("{what} envelope: {err}"))
 }
 
-/// Encode a request with rows left inline in the JSON envelope — the
-/// negotiated non-columnar fallback codec. Framing and CRC still apply;
-/// [`decode_request`] handles both forms.
-pub fn encode_request_plain(req: &Request) -> Vec<u8> {
-    assemble(
-        &serde_json::to_vec(req).expect("request envelope serializes"),
-        &[],
-    )
-}
-
-/// Encode a response with rows left inline in the JSON envelope (see
-/// [`encode_request_plain`]).
-pub fn encode_response_plain(resp: &Response) -> Vec<u8> {
-    assemble(
-        &serde_json::to_vec(resp).expect("response envelope serializes"),
-        &[],
-    )
-}
-
 /// Encode a request as an envelope plus columnar append rows.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut sections = Vec::new();

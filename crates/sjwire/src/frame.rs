@@ -3,8 +3,8 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! offset 0   MAGIC (0x53, 'S') — must differ from '{' (0x7B) so the
-//!            accept path can sniff JSON-lines vs binary on byte one
+//! offset 0   MAGIC (0x53, 'S') — the accept path refuses a peer
+//!            whose first byte is anything else
 //! offset 1   message type (u8, see MsgType)
 //! offset 2   flags (u16, reserved, 0)
 //! offset 4   payload length (u32)
@@ -25,12 +25,12 @@ use std::io::{self, Read, Write};
 
 use crate::crc::{crc32, Crc32};
 
-/// First byte of every binary frame. Anything that is not `{` would
-/// do; `S` (for ScrubJay) reads nicely in hex dumps.
+/// First byte of every binary frame. `S` (for ScrubJay) reads nicely in
+/// hex dumps, and differs from the `{` a JSON client opens with.
 pub const MAGIC: u8 = 0x53;
 
-/// Version of the binary protocol spoken by this build. JSON-lines is
-/// protocol v1; the framed binary transport starts at 2.
+/// Version of the binary protocol spoken by this build. Version 1 was
+/// the retired JSON-lines transport; the framed transport starts at 2.
 pub const WIRE_VERSION: u32 = 2;
 
 /// Hard ceiling on one frame's payload. Large enough for any real
@@ -43,7 +43,7 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum MsgType {
-    /// Client's opening move: version/feature/codec offer (JSON payload).
+    /// Client's opening move: version/codec offer (JSON payload).
     Hello = 1,
     /// Server's negotiated reply to a Hello (JSON payload).
     HelloAck = 2,
@@ -85,7 +85,7 @@ pub enum WireError {
     Io(io::Error),
     /// The stream ended inside a frame.
     Truncated,
-    /// First byte was neither `{` nor the frame magic.
+    /// First byte was not the frame magic.
     BadMagic(u8),
     /// Unknown message-type byte.
     UnknownType(u8),

@@ -1,17 +1,14 @@
 //! sjwire: the binary wire protocol between `sjq`, `sjserved`, and
-//! `sjrouted`.
+//! `sjrouted` — the only transport the daemons speak.
 //!
-//! JSON-lines (protocol v1) pays a per-cell encode/escape/parse tax that
-//! dominates wide results now that the execute path is columnar. This
-//! crate replaces it on the hot path with versioned, length-prefixed,
-//! CRC-checked frames whose row payloads travel as columnar lanes
-//! (typed arrays + validity bitmaps + string dictionaries) instead of
-//! JSON text.
+//! Messages travel as versioned, length-prefixed, CRC-checked frames
+//! whose row payloads are columnar lanes (typed arrays + validity
+//! bitmaps + string dictionaries) rather than per-cell JSON text, which
+//! would pay an encode/escape/parse tax on every cell of a wide result.
 //!
-//! The first byte of a connection decides the protocol: `{` (0x7B) is a
-//! JSON-lines request, anything else must be the frame magic. Old
-//! clients and `nc` debugging therefore keep working against a
-//! binary-default daemon, byte for byte.
+//! A connection opens with a [`Hello`]/[`HelloAck`] exchange pinning the
+//! wire version and the `columnar` codec. A peer whose first byte is not
+//! [`MAGIC`], or whose Hello offers another codec, is refused.
 //!
 //! Layering: this crate knows **nothing** about `sjserve`'s request or
 //! response types. It owns the frame format, CRC, version negotiation
@@ -29,4 +26,4 @@ pub use crc::{crc32, Crc32};
 pub use frame::{
     read_frame, write_frame, Frame, MsgType, WireError, MAGIC, MAX_FRAME_BYTES, WIRE_VERSION,
 };
-pub use negotiate::{negotiate, Hello, HelloAck, CODEC_COLUMNAR, CODEC_JSON_LINES};
+pub use negotiate::{negotiate, Hello, HelloAck, CODEC_COLUMNAR};

@@ -1,21 +1,20 @@
-//! Per-connection version and feature negotiation.
+//! Per-connection version and codec negotiation.
 //!
-//! A binary client's first frame is a [`Hello`] offering its protocol
-//! version, preferred payload codec, and feature set; the server
-//! answers with a [`HelloAck`] pinning what the connection will
-//! actually speak (the lower version, the intersection of features, the
-//! offered codec if the server knows it). Hello payloads are JSON —
-//! they run once per connection and being human-readable in a packet
-//! capture is worth more than the nanoseconds.
+//! A client's first frame is a [`Hello`] offering its protocol version
+//! and payload codec; the server answers with a [`HelloAck`] pinning
+//! what the connection will actually speak (the lower version, the
+//! `columnar` codec), or refuses a codec it does not know. Hello
+//! payloads are JSON — they run once per connection and being
+//! human-readable in a packet capture is worth more than the
+//! nanoseconds.
 
 use serde::{Deserialize, Serialize};
 
 use crate::frame::WIRE_VERSION;
 
-/// Payload codec: columnar sections for hot row payloads.
+/// Payload codec: columnar sections for hot row payloads. The only
+/// codec this build speaks.
 pub const CODEC_COLUMNAR: &str = "columnar";
-/// Payload codec name reported for plain JSON-lines connections.
-pub const CODEC_JSON_LINES: &str = "json-lines";
 
 /// Client's opening offer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,9 +22,6 @@ pub struct Hello {
     pub wire_version: u32,
     /// Payload codec the client wants (`columnar`).
     pub codec: String,
-    /// Capability strings; unknown ones are ignored by either side.
-    #[serde(default)]
-    pub features: Vec<String>,
 }
 
 impl Default for Hello {
@@ -33,7 +29,6 @@ impl Default for Hello {
         Hello {
             wire_version: WIRE_VERSION,
             codec: CODEC_COLUMNAR.to_string(),
-            features: vec!["stream".into()],
         }
     }
 }
@@ -43,34 +38,24 @@ impl Default for Hello {
 pub struct HelloAck {
     /// Version both sides will speak: `min(client, server)`.
     pub wire_version: u32,
-    /// Codec the server will actually use for payloads.
+    /// Codec the server will use for payloads (always `columnar`).
     pub codec: String,
-    #[serde(default)]
-    pub features: Vec<String>,
 }
 
-/// Server-side negotiation: pin the connection's version, codec, and
-/// feature set from the client's offer.
-pub fn negotiate(hello: &Hello) -> HelloAck {
-    let codec = if hello.codec == CODEC_COLUMNAR {
-        CODEC_COLUMNAR
-    } else {
-        // Unknown codec: fall back to JSON payloads inside binary
-        // frames — still framed and CRC-checked, just not columnar.
-        CODEC_JSON_LINES
-    };
-    let ours = ["stream"];
-    let features = hello
-        .features
-        .iter()
-        .filter(|f| ours.contains(&f.as_str()))
-        .cloned()
-        .collect();
-    HelloAck {
-        wire_version: hello.wire_version.min(WIRE_VERSION),
-        codec: codec.to_string(),
-        features,
+/// Server-side negotiation: pin the connection's version and codec from
+/// the client's offer, or refuse a codec other than `columnar` with a
+/// message naming it.
+pub fn negotiate(hello: &Hello) -> Result<HelloAck, String> {
+    if hello.codec != CODEC_COLUMNAR {
+        return Err(format!(
+            "unsupported codec {:?}; use {CODEC_COLUMNAR:?}",
+            hello.codec
+        ));
     }
+    Ok(HelloAck {
+        wire_version: hello.wire_version.min(WIRE_VERSION),
+        codec: CODEC_COLUMNAR.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -82,21 +67,20 @@ mod tests {
         let ack = negotiate(&Hello {
             wire_version: 99,
             codec: CODEC_COLUMNAR.into(),
-            features: vec!["stream".into(), "quantum".into()],
-        });
+        })
+        .unwrap();
         assert_eq!(ack.wire_version, WIRE_VERSION);
         assert_eq!(ack.codec, CODEC_COLUMNAR);
-        assert_eq!(ack.features, vec!["stream".to_string()]);
     }
 
     #[test]
-    fn unknown_codec_falls_back_to_json_payloads() {
-        let ack = negotiate(&Hello {
+    fn unknown_codec_is_refused() {
+        let err = negotiate(&Hello {
             wire_version: 2,
             codec: "protobuf".into(),
-            features: vec![],
-        });
-        assert_eq!(ack.codec, CODEC_JSON_LINES);
+        })
+        .unwrap_err();
+        assert!(err.contains("protobuf"), "{err}");
     }
 
     #[test]
@@ -104,5 +88,9 @@ mod tests {
         let h = Hello::default();
         let back: Hello = serde_json::from_str(&serde_json::to_string(&h).unwrap()).unwrap();
         assert_eq!(back, h);
+        // A peer that still sends the retired `features` list is
+        // unaffected: unknown fields are ignored.
+        let old = r#"{"wire_version":2,"codec":"columnar","features":["stream"]}"#;
+        assert_eq!(serde_json::from_str::<Hello>(old).unwrap(), h);
     }
 }

@@ -54,7 +54,6 @@ struct Args {
     stats: bool,
     follow: bool,
     max_frames: usize,
-    json_wire: bool,
 }
 
 /// A failure with a stable machine-readable code (mirrors the service's
@@ -119,8 +118,6 @@ OPTIONS:
   --stats           print the service's (or router's) metrics snapshot;
                     both modes lead with the negotiated wire version
                     and payload codec
-  --wire PROTO      transport for --server mode: binary (framed sjwire,
-                    the default) or json (JSON-lines)
   --tenant NAME     fair-queueing bucket for --server mode
   --timeout-ms MS   per-request deadline for --server mode
   --domains LIST    comma-separated domain dimensions of interest
@@ -169,7 +166,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         stats: false,
         follow: false,
         max_frames: 0,
-        json_wire: false,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -184,11 +180,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--router" => args.server = Some(value("--router")?),
             "--health" => args.health = true,
             "--stats" => args.stats = true,
-            "--wire" => match value("--wire")?.as_str() {
-                "binary" => args.json_wire = false,
-                "json" => args.json_wire = true,
-                other => return Err(format!("bad --wire {other:?}: binary or json")),
-            },
             "--tenant" => args.tenant = value("--tenant")?,
             "--timeout-ms" => {
                 args.timeout_ms = Some(
@@ -282,7 +273,7 @@ fn run(args: &Args) -> Result<(), CliError> {
 }
 
 /// Execute against a running `sjserved` over the framed binary wire
-/// protocol (sjwire; the server still accepts JSON-lines peers).
+/// protocol (sjwire).
 fn run_remote(args: &Args, addr: &str) -> Result<(), CliError> {
     let spec = QuerySpec {
         domains: args.domains.clone(),
@@ -298,12 +289,8 @@ fn run_remote(args: &Args, addr: &str) -> Result<(), CliError> {
         step_secs: args.step_secs,
         limit: Some(args.limit),
     };
-    let mut client = if args.json_wire {
-        Client::connect_json_as(addr, &args.tenant)
-    } else {
-        Client::connect_as(addr, &args.tenant)
-    }
-    .map_err(|e| CliError::new("unavailable", format!("connect {addr}: {e}")))?;
+    let mut client = Client::connect_as(addr, &args.tenant)
+        .map_err(|e| CliError::new("unavailable", format!("connect {addr}: {e}")))?;
 
     if args.health {
         let response = client.health()?;
@@ -749,17 +736,6 @@ mod tests {
         assert_eq!(args.max_frames, 3);
         assert!(parse_args(&argv("--data d --domains a --values b --follow")).is_err());
         assert!(parse_args(&argv("--server h:1 --domains a --values b --max-frames x")).is_err());
-    }
-
-    #[test]
-    fn wire_flag_selects_the_transport() {
-        let args = parse_args(&argv("--server h:1 --domains a --values b")).unwrap();
-        assert!(!args.json_wire);
-        let args = parse_args(&argv("--server h:1 --domains a --values b --wire json")).unwrap();
-        assert!(args.json_wire);
-        let args = parse_args(&argv("--server h:1 --domains a --values b --wire binary")).unwrap();
-        assert!(!args.json_wire);
-        assert!(parse_args(&argv("--server h:1 --domains a --values b --wire tcp")).is_err());
     }
 
     #[test]

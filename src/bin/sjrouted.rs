@@ -4,7 +4,7 @@
 //!
 //! - **Serve** (`--workers`): front a fleet of `sjserved` workers, each
 //!   holding a catalog shard, behind one address speaking the same
-//!   JSON-lines protocol. Queries whose dataset cover lives on one shard
+//!   binary wire protocol. Queries whose dataset cover lives on one shard
 //!   are proxied (with single-retry failover to a replica); covers that
 //!   span shards are scatter-gathered and merged by the query's shared
 //!   domain columns. Worker health is heartbeated, dead workers are

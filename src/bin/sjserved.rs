@@ -1,8 +1,8 @@
 //! `sjserved` — the ScrubJay query service daemon.
 //!
-//! Loads a catalog directory once at startup, then serves the JSON-lines
-//! protocol over TCP until a `shutdown` request (or SIGINT via process
-//! kill) arrives. See `crates/sjserve` for the protocol and the
+//! Loads a catalog directory once at startup, then serves the framed
+//! binary wire protocol (`sjwire`) over TCP until a `shutdown` request
+//! from a loopback peer (or SIGINT via process kill) arrives. See `crates/sjserve` for the protocol and the
 //! scheduling model.
 //!
 //! ```text

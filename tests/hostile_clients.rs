@@ -1,71 +1,125 @@
-//! Daemons must bound every resource one client can grow. A JSON-lines
-//! request line is capped at `sjwire::MAX_FRAME_BYTES`, the same cap
-//! binary frames have: a longer line gets one structured `bad_request`
-//! and the connection is closed, while the daemon keeps serving others.
-//! The plan cache holds at most `PLAN_CACHE_BYTES`, however many
-//! distinct query shapes a client asks for.
+//! Daemons must bound every resource one client can grow. A peer that
+//! breaks the protocol (no sjwire magic, an unknown codec, an oversized
+//! or corrupt frame) is answered once and disconnected while the daemon
+//! keeps serving others. The plan cache holds at most
+//! `PLAN_CACHE_BYTES`, however many distinct query shapes a client asks
+//! for.
 
 use sjdf::ExecCtx;
 use sjserve::cache::PLAN_CACHE_BYTES;
-use sjserve::protocol::codes;
-use sjserve::{serve, Client, QueryService, QuerySpec, Response, ServiceConfig, ValueSpec};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use sjserve::protocol::{codes, ErrorBody, Request, Verb};
+use sjserve::wire::{decode_response, encode_request};
+use sjserve::{serve, Client, QueryService, QuerySpec, ServerHandle, ServiceConfig, ValueSpec};
+use sjwire::{read_frame, write_frame, MsgType, MAGIC, MAX_FRAME_BYTES, WIRE_VERSION};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-#[test]
-fn overlong_json_line_is_refused_and_the_daemon_stays_up() {
+fn spawn_service() -> ServerHandle {
     let ctx = ExecCtx::local();
     let catalog = sjdata::stream_catalog(&ctx).unwrap();
-    let server = serve(
+    serve(
         QueryService::new(ctx, catalog, ServiceConfig::default()),
         "127.0.0.1:0",
     )
-    .unwrap();
+    .unwrap()
+}
 
-    // One byte over the cap and no newline, sent in 1 MiB chunks; the
-    // leading `{` selects the JSON-lines transport.
-    let mut stream = TcpStream::connect(server.addr).unwrap();
+/// A raw connection whose reads give up after 10 s, so a daemon that
+/// keeps the connection open fails the test instead of hanging it.
+fn raw_connection(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
     stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
+        .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut remaining = sjwire::MAX_FRAME_BYTES + 1;
-    let mut chunk = vec![b' '; 1 << 20];
-    chunk[0] = b'{';
-    while remaining > 0 {
-        let n = remaining.min(chunk.len());
-        stream.write_all(&chunk[..n]).unwrap();
-        chunk[0] = b' ';
-        remaining -= n;
-    }
+    stream
+}
 
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let response: Response = serde_json::from_str(&line).unwrap();
-    assert_eq!(response.status, "error");
+fn send_hello(stream: &mut TcpStream, codec: &str) {
+    let hello = format!(r#"{{"wire_version":{WIRE_VERSION},"codec":"{codec}"}}"#);
+    write_frame(stream, MsgType::Hello, hello.as_bytes()).unwrap();
+}
+
+/// Open a raw connection and complete a valid Hello exchange.
+fn negotiated_connection(addr: SocketAddr) -> TcpStream {
+    let mut stream = raw_connection(addr);
+    send_hello(&mut stream, sjwire::CODEC_COLUMNAR);
+    assert_eq!(read_frame(&mut stream).unwrap().msg_type, MsgType::HelloAck);
+    stream
+}
+
+/// Read one `bad_request` response frame, then require EOF.
+fn one_bad_request_then_eof(mut stream: TcpStream) -> ErrorBody {
+    let frame = read_frame(&mut stream).unwrap();
+    assert_eq!(frame.msg_type, MsgType::Response, "{frame:?}");
+    let response = decode_response(&frame.payload).unwrap();
     let error = response.error.expect("structured error");
     assert_eq!(error.code, codes::BAD_REQUEST);
-    assert!(error.message.contains("exceeds"), "{}", error.message);
-    // The daemon closed this connection after answering.
     let mut rest = Vec::new();
-    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "{rest:?}");
+    error
+}
 
-    // A fresh connection is served as usual.
-    let mut client = Client::connect_json_as(server.addr, "tenant-a").unwrap();
-    assert_eq!(client.health().unwrap().status, "ok");
+#[test]
+fn non_sjwire_peer_gets_one_line_then_eof() {
+    let server = spawn_service();
+
+    let mut stream = raw_connection(server.addr);
+    stream
+        .write_all(b"{\"id\":\"1\",\"verb\":\"health\"}\n")
+        .unwrap();
+    // Exactly one line, naming the protocol, then EOF.
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert_eq!(reply.find('\n'), Some(reply.len() - 1), "{reply:?}");
+    assert!(reply.contains("sjwire"), "{reply:?}");
+
+    Client::connect(server.addr).unwrap().health().unwrap();
+    server.stop();
+}
+
+#[test]
+fn hello_offering_an_unknown_codec_is_refused() {
+    let server = spawn_service();
+
+    let mut stream = raw_connection(server.addr);
+    send_hello(&mut stream, "protobuf");
+    let error = one_bad_request_then_eof(stream);
+    assert!(error.message.contains("protobuf"), "{}", error.message);
+
+    Client::connect(server.addr).unwrap().health().unwrap();
+    server.stop();
+}
+
+#[test]
+fn broken_frames_get_one_error_then_eof() {
+    let server = spawn_service();
+
+    // A header declaring one byte more than the cap.
+    let mut stream = negotiated_connection(server.addr);
+    let mut header = vec![MAGIC, MsgType::Request as u8, 0, 0];
+    header.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
+    stream.write_all(&header).unwrap();
+    let error = one_bad_request_then_eof(stream);
+    assert!(error.message.contains("exceeds"), "{}", error.message);
+
+    // A health request whose last CRC byte is flipped.
+    let mut stream = negotiated_connection(server.addr);
+    let request = Request::bare("1", Verb::Health).with_proto();
+    let mut frame = Vec::new();
+    write_frame(&mut frame, MsgType::Request, &encode_request(&request)).unwrap();
+    *frame.last_mut().unwrap() ^= 0xFF;
+    stream.write_all(&frame).unwrap();
+    let error = one_bad_request_then_eof(stream);
+    assert!(error.message.contains("CRC"), "{}", error.message);
+
+    Client::connect(server.addr).unwrap().health().unwrap();
     server.stop();
 }
 
 #[test]
 fn distinct_windows_cannot_grow_the_plan_cache_past_its_budget() {
-    let ctx = ExecCtx::local();
-    let catalog = sjdata::stream_catalog(&ctx).unwrap();
-    let server = serve(
-        QueryService::new(ctx, catalog, ServiceConfig::default()),
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let server = spawn_service();
 
     // Every `window_secs` is a new plan-cache key.
     let mut client = Client::connect_as(server.addr, "tenant-a").unwrap();

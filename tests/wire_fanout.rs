@@ -4,14 +4,14 @@
 //! the router-minted ids — across every disarray schedule. Also
 //! covered: worker-kill chaos (failover or a structured degraded
 //! teardown, never a hang), bulk backfill parity, the idle-source
-//! watermark timeout, and JSON-lines clients against a binary-default
-//! daemon.
+//! watermark timeout, and the wire info and request counters both
+//! daemons report.
 
 use sjcore::engine::{EngineConfig, Query, QueryValue};
 use sjdata::{disarray_schedule, stream_catalog, Disarray};
 use sjdf::ExecCtx;
 use sjroute::{Router, RouterConfig};
-use sjserve::protocol::{codes, PROTO_VERSION};
+use sjserve::protocol::codes;
 use sjserve::{
     serve, Client, ClientError, QueryService, QuerySpec, RouterStatsReport, ServerHandle,
     ServiceConfig, ValueSpec,
@@ -423,64 +423,22 @@ fn idle_source_timeout_unpins_the_watermark() {
     assert!(emitted_free > 0, "watermark advanced but nothing ripened");
 }
 
-/// The daemon defaults to the binary transport, but a byte-one sniff
-/// keeps JSON-lines clients working on the same port: both kinds of
-/// subscriber see the same frames, and both report their negotiated
-/// wire info.
+/// Framed sjwire with the columnar codec is the one transport: the
+/// connection negotiates it, `stats` and `health` carry it, and the
+/// request counters see only binary requests (a `stats` request is
+/// counted before dispatch, so it counts itself). `routed_frames`
+/// checks the router's binary counter.
 #[test]
-fn json_lines_client_against_binary_default_daemon() {
+fn binary_wire_is_reported_and_counted() {
     let worker = spawn_worker();
-
-    let mut json_sub = Client::connect_json_as(worker.addr, "tenant-a").unwrap();
-    json_sub
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    assert_eq!(json_sub.wire_info().wire_version, PROTO_VERSION);
-    assert_eq!(json_sub.wire_info().codec, sjwire::CODEC_JSON_LINES);
-    json_sub.subscribe(joined_spec()).unwrap();
-
-    let mut bin_sub = subscriber(worker.addr);
-    assert_eq!(bin_sub.wire_info().wire_version, sjwire::WIRE_VERSION);
-    assert_eq!(bin_sub.wire_info().codec, sjwire::CODEC_COLUMNAR);
-
-    let mut appender = Client::connect_as(worker.addr, "ingest").unwrap();
-    let mut total = 0usize;
-    for batch in disarray_schedule(Disarray::ClockSkew, SEED, STEPS) {
-        total += appender
-            .append(batch)
-            .unwrap()
-            .append
-            .unwrap()
-            .windows_emitted;
-    }
-    // `windows_emitted` counts frames across *both* registrations; the
-    // identical standing queries emit in lockstep, so each subscriber
-    // gets exactly half — and they must agree byte-for-byte.
-    assert!(total > 0);
-    assert_eq!(total % 2, 0, "two identical subscriptions emit in pairs");
-    let per_sub = total / 2;
-    let json_frames: Vec<String> = (0..per_sub)
-        .map(|_| norm_frame(&json_sub.next_frame().unwrap()))
-        .collect();
-    let bin_frames: Vec<String> = (0..per_sub)
-        .map(|_| norm_frame(&bin_sub.next_frame().unwrap()))
-        .collect();
-    assert_eq!(json_frames, bin_frames);
-
-    // Both transports stamp their negotiated wire info on responses,
-    // and the service counts requests per protocol.
-    let resp = Client::connect_json(worker.addr).unwrap().stats().unwrap();
-    let wire = resp.wire.clone().expect("json responses carry wire info");
-    assert_eq!(wire.wire_version, PROTO_VERSION);
-    assert_eq!(wire.codec, sjwire::CODEC_JSON_LINES);
-    let stats = resp.stats.unwrap();
-    assert!(stats.requests_json > 0, "{stats:?}");
-    assert!(stats.requests_binary > 0, "{stats:?}");
-
-    let resp = Client::connect(worker.addr).unwrap().stats().unwrap();
-    let wire = resp.wire.expect("binary responses carry wire info");
+    let mut client = Client::connect(worker.addr).unwrap();
+    let wire = client.wire_info().clone();
     assert_eq!(wire.wire_version, sjwire::WIRE_VERSION);
     assert_eq!(wire.codec, sjwire::CODEC_COLUMNAR);
-
+    assert_eq!(client.health().unwrap().wire.as_ref(), Some(&wire));
+    let resp = client.stats().unwrap();
+    assert_eq!(resp.wire.as_ref(), Some(&wire));
+    let stats = resp.stats.unwrap();
+    assert_eq!((stats.requests_binary, stats.requests_json), (2, 0));
     worker.stop();
 }
