@@ -22,8 +22,9 @@
 //! yielding one. Plan construction reuses the reference machinery: the
 //! single-dataset shortcut over the intersection of the query's
 //! supplier sets, the greedy-cover seed over their union, and the
-//! anchored-then-unanchored widening fold. Widening walks ring 1
-//! (datasets sharing a saturated seed domain dimension, under the
+//! anchored-then-unanchored widening over `QueryEngine::combine_set`,
+//! the one fold (tie-break included) both searches call. Widening walks
+//! ring 1 (datasets sharing a saturated seed domain dimension, under the
 //! reference widening key) and builds ring 2 (everything else, in index
 //! order) only if ring 1 runs out. A query therefore examines the
 //! datasets its dimensions reach, which is why planning time stays
@@ -32,10 +33,11 @@
 //! **Parity.** Any candidate the reference greedy cover could pick
 //! covers at least one target, so it lies in the supplier union in the
 //! same relative order, and the restricted cover picks the same seed.
-//! Ring 1 followed by ring 2 reproduces the reference addition order.
-//! Both searches therefore emit byte-identical plans and errors on
-//! every catalog, which `tests/planner_parity.rs` checks on a
-//! hand-built corpus and a seeded random-catalog sweep.
+//! Ring 1 followed by ring 2 reproduces the reference addition order,
+//! and both searches fold each `DF` with the same function. Both
+//! therefore emit byte-identical plans and errors on every catalog,
+//! which `tests/planner_parity.rs` checks on a hand-built corpus and a
+//! seeded random-catalog sweep.
 
 use super::plan::Plan;
 use super::search::{addition_order, greedy_cover, Cand, QueryEngine};
@@ -320,7 +322,8 @@ pub(super) fn solve(engine: &QueryEngine<'_>, query: &Query) -> Result<Plan> {
         }
         let mut df: Vec<usize> = seed.clone();
         loop {
-            if let Some(result) = combine_set(&sat, &df, anchored_only) {
+            let get = |i: usize| sat.get(i);
+            if let Some(result) = engine.combine_set(&get, &df, &needed, anchored_only, query) {
                 if query.satisfied_by(&result.schema, dict) {
                     return Ok(engine.finalize(result, query));
                 }
@@ -350,30 +353,4 @@ pub(super) fn solve(engine: &QueryEngine<'_>, query: &Query) -> Result<Plan> {
     } else {
         Err(SjError::NoSolution(query.describe()))
     }
-}
-
-/// Fold a dataset set into one combined candidate — the reference
-/// `combine_set` greedy-partner loop over the lazy candidate store.
-fn combine_set(sat: &Saturated, df: &[usize], anchored_only: bool) -> Option<Cand> {
-    if df.is_empty() {
-        return None;
-    }
-    let mut remaining: Vec<usize> = df.to_vec();
-    let mut acc = sat.get(remaining.remove(0));
-    while !remaining.is_empty() {
-        let mut advanced = false;
-        for pos in 0..remaining.len() {
-            let idx = remaining[pos];
-            if let Some(next) = sat.engine.combine_pair(&acc, &sat.get(idx), anchored_only) {
-                acc = sat.engine.saturate(next, sat.needed);
-                remaining.remove(pos);
-                advanced = true;
-                break;
-            }
-        }
-        if !advanced {
-            return None;
-        }
-    }
-    Some(acc)
 }

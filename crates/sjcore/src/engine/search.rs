@@ -19,9 +19,26 @@
 //!    columns) and picks the combination their semantics allow: a natural
 //!    join when all shared domains are discrete, an interpolation join
 //!    when exactly one shared domain is ordered and continuous.
-//! 4. Results of `combine_pair`/`combine_set` are memoized on schema
-//!    fingerprints; at each iteration `combine_set` receives a superset of
-//!    its previous arguments, so most recursive calls hit the memo.
+//! 4. `combine_pair` outcomes are memoized on schema fingerprints (both
+//!    orientations under one key). `combine_set` itself is not memoized:
+//!    at each iteration it receives a superset of its previous
+//!    arguments, so it re-folds, and most of its pair tests hit the memo.
+//!
+//! **The fold's tie-break.** `combine_set` folds left-deep: starting
+//! from `DF[0]`, the accumulator takes the first remaining dataset it
+//! combines with. That fold is the default, and if it fails there is no
+//! fold, so widening never depends on the tie-break. A fold's *score*
+//! counts its interpolation joins whose inputs share no identifier (a
+//! non-interpolatable domain dimension) that the query asks for. When
+//! the default scores above 0 and `|DF| ≥ 3`, the bushy fold
+//! `DF[0] ⋈ fold(DF[1..])` is tried too, and taken only if it scores
+//! strictly lower and answers the query exactly when the default does.
+//! Ties keep the left-deep plan. `DF[0]` stays the left input because an
+//! interpolation join emits one row per matched left element. On the
+//! paper's Figure 5 this turns `(heat ⋈ layout) ⋈ᵢ jobs`, anchored on
+//! `compute-node`, into `heat ⋈ᵢ (jobs ⋈ layout)`, anchored on the
+//! queried `rack`: the same answer without copying every heat row to
+//! each node of its rack.
 //!
 //! Combinations are *anchored* when at least one shared domain is an
 //! identifier (two measurements relate through a shared resource, not
@@ -51,8 +68,8 @@ pub struct EngineConfig {
     pub explode_step_secs: f64,
     /// Window `W` for interpolation joins (seconds).
     pub interp_window_secs: f64,
-    /// Memoize `combine_pair`/`combine_set` results (§5.2). Disable only
-    /// for ablation studies.
+    /// Memoize `combine_pair` outcomes (§5.2). Disable only for ablation
+    /// studies.
     pub memoize: bool,
     /// Allow combinations whose only shared domain is ordered/continuous
     /// (e.g. time-only joins) when no anchored plan exists.
@@ -276,7 +293,8 @@ impl<'c> QueryEngine<'c> {
             }
             let mut df: Vec<usize> = seed.clone();
             loop {
-                if let Some(result) = self.combine_set(&candidates, &df, &needed, anchored_only) {
+                let get = |i: usize| candidates[i].clone();
+                if let Some(result) = self.combine_set(&get, &df, &needed, anchored_only, query) {
                     if query.satisfied_by(&result.schema, dict) {
                         return Ok(self.finalize(result, query));
                     }
@@ -340,36 +358,95 @@ impl<'c> QueryEngine<'c> {
         targets
     }
 
-    /// Fold a set of candidates into one combined candidate, greedily
-    /// picking a combinable partner at each step (memoized pair tests).
-    fn combine_set(
+    /// Fold the candidates `df` (fetched through `get`) into one
+    /// combined candidate — the one fold both searches share. The
+    /// left-deep greedy fold rooted at `df[0]` is the default; if it
+    /// fails there is no fold. The tie-break in the module doc may swap
+    /// it for the bushy fold `df[0] ⋈ fold(df[1..])`.
+    pub(super) fn combine_set(
         &self,
-        candidates: &[Cand],
+        get: &dyn Fn(usize) -> Cand,
         df: &[usize],
         needed: &BTreeSet<String>,
         anchored_only: bool,
+        query: &Query,
     ) -> Option<Cand> {
-        if df.is_empty() {
-            return None;
-        }
-        let mut remaining: Vec<usize> = df.to_vec();
-        let mut acc = candidates[remaining.remove(0)].clone();
+        self.scored_fold(get, df, needed, anchored_only, query)
+            .map(|(cand, _)| cand)
+    }
+
+    /// [`combine_set`](Self::combine_set) plus the fold's score: how
+    /// many of its interpolation joins are off the query's identifiers.
+    fn scored_fold(
+        &self,
+        get: &dyn Fn(usize) -> Cand,
+        df: &[usize],
+        needed: &BTreeSet<String>,
+        anchored_only: bool,
+        query: &Query,
+    ) -> Option<(Cand, usize)> {
+        let (&root, rest) = df.split_first()?;
+        let mut remaining = rest.to_vec();
+        let mut acc = get(root);
+        let mut score = 0;
         while !remaining.is_empty() {
-            let mut advanced = false;
-            for pos in 0..remaining.len() {
-                let idx = remaining[pos];
-                if let Some(next) = self.combine_pair(&acc, &candidates[idx], anchored_only) {
-                    acc = self.saturate(next, needed);
-                    remaining.remove(pos);
-                    advanced = true;
-                    break;
-                }
-            }
-            if !advanced {
-                return None;
-            }
+            let (pos, next, off) = remaining.iter().enumerate().find_map(|(pos, &idx)| {
+                let right = get(idx);
+                let next = self.combine_pair(&acc, &right, anchored_only)?;
+                let off = self.off_query_interp(&acc, &right, &next, query);
+                Some((pos, next, off))
+            })?;
+            remaining.remove(pos);
+            score += off;
+            acc = self.saturate(next, needed);
         }
-        Some(acc)
+        if score == 0 || df.len() < 3 {
+            return Some((acc, score));
+        }
+        // The bushy alternative keeps `df[0]` as the left input: an
+        // interpolation join emits one row per matched left element, so
+        // the root's rows stay the answer's rows.
+        let bushy = self
+            .scored_fold(get, rest, needed, anchored_only, query)
+            .and_then(|(tail, tail_score)| {
+                let head = get(root);
+                let top = self.combine_pair(&head, &tail, anchored_only)?;
+                let off = self.off_query_interp(&head, &tail, &top, query);
+                Some((self.saturate(top, needed), tail_score + off))
+            });
+        let dict = self.catalog.dict();
+        let answers = |c: &Cand| query.satisfied_by(&c.schema, dict);
+        match bushy {
+            Some((alt, alt_score)) if alt_score < score && answers(&alt) == answers(&acc) => {
+                Some((alt, alt_score))
+            }
+            _ => Some((acc, score)),
+        }
+    }
+
+    /// 1 if `combined` (of `left` and `right`) is an interpolation join
+    /// whose inputs share no identifier the query asks for, else 0. An
+    /// identifier is a non-interpolatable domain dimension; alignment
+    /// only explodes columns, so the inputs' raw schemas share the same
+    /// dimensions as the aligned ones.
+    fn off_query_interp(&self, left: &Cand, right: &Cand, combined: &Cand, query: &Query) -> usize {
+        let Plan::Combine {
+            spec: DerivationSpec::InterpolationJoin { .. },
+            ..
+        } = &combined.plan
+        else {
+            return 0;
+        };
+        let dict = self.catalog.dict();
+        let anchored = left
+            .schema
+            .shared_domain_dimensions(&right.schema)
+            .iter()
+            .any(|d| {
+                query.domains.contains(d)
+                    && dict.dimension(d).is_ok_and(|dim| !dim.interpolatable())
+            });
+        usize::from(!anchored)
     }
 
     /// Test whether two candidates can be combined (via a short sequence
@@ -381,12 +458,7 @@ impl<'c> QueryEngine<'c> {
     /// `(left, right)` test populated: combinability is symmetric, and a
     /// successful mirrored outcome only needs its combined column order
     /// re-derived from the stored aligned schemas.
-    pub(super) fn combine_pair(
-        &self,
-        left: &Cand,
-        right: &Cand,
-        anchored_only: bool,
-    ) -> Option<Cand> {
+    fn combine_pair(&self, left: &Cand, right: &Cand, anchored_only: bool) -> Option<Cand> {
         let (lf, rf) = (left.schema.fingerprint(), right.schema.fingerprint());
         let dir = usize::from(lf > rf);
         let key = (lf.min(rf), lf.max(rf), anchored_only);
@@ -1000,6 +1072,60 @@ mod tests {
         // Fewer columns outranks index.
         let mixed = |i: usize| if i == 0 { narrow.clone() } else { wide.clone() };
         assert_eq!(greedy_cover(&mixed, &targets, &[0, 1, 2]), vec![0]);
+    }
+
+    #[test]
+    fn fold_tie_break_goes_bushy_only_on_a_strictly_lower_score() {
+        let ctx = ExecCtx::local();
+        let cat = dat1_catalog(&ctx);
+        let engine = QueryEngine::new(&cat);
+        // Fold [rack_temps, job_queue_log, node_layout], the DF order the
+        // seed gives Fig. 5, for the query asking for `domains`.
+        let fold = |domains: &[&str]| {
+            let query = Query {
+                domains: domains.iter().map(|d| d.to_string()).collect(),
+                values: vec![QueryValue::dim("application"), QueryValue::dim("heat")],
+            }
+            .canonicalize(cat.dict())
+            .unwrap();
+            let needed = engine.needed_closure(&query);
+            let cands: Vec<Cand> = ["rack_temps", "job_queue_log", "node_layout"]
+                .into_iter()
+                .map(|name| {
+                    let schema = cat.dataset(name).unwrap().schema().clone();
+                    let plan = Plan::load(name);
+                    engine.saturate(Cand { plan, schema }, &needed)
+                })
+                .collect();
+            let get = |i: usize| cands[i].clone();
+            let plan = engine
+                .combine_set(&get, &[0, 1, 2], &needed, true, &query)
+                .unwrap()
+                .plan;
+            let Plan::Combine {
+                spec: DerivationSpec::InterpolationJoin { .. },
+                left,
+                ..
+            } = plan
+            else {
+                panic!("top is not an interpolation join:\n{}", plan.describe());
+            };
+            *left
+        };
+        let heat = Plan::load("rack_temps").then(DerivationSpec::DeriveHeat);
+        let heat_on_layout = heat
+            .clone()
+            .combine(DerivationSpec::NaturalJoin, Plan::load("node_layout"));
+
+        // Left-deep: (heat ⋈ layout) ⋈ᵢ jobs, anchored on compute-node.
+        // Bushy: heat ⋈ᵢ (jobs ⋈ layout), anchored on rack.
+        // Asked for job and rack: left-deep scores 1, bushy 0 — bushy.
+        assert_eq!(fold(&["job", "rack"]), heat);
+        // Asked for job only: both score 1 — the tie keeps left-deep.
+        assert_eq!(fold(&["job"]), heat_on_layout);
+        // Asked for job and compute-node: left-deep scores 0, so the
+        // bushy fold is never tried.
+        assert_eq!(fold(&["job", "compute-node"]), heat_on_layout);
     }
 
     #[test]

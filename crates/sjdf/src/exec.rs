@@ -1021,34 +1021,34 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_waves() {
-        // Two waves on the same context run on the same long-lived pool
-        // threads (named sjdf-worker-*), not freshly spawned ones.
+        // Each wave parks all its tasks on one barrier, so it must occupy
+        // the caller plus `threads - 1` pool workers at once. Over
+        // `pool + 1` waves, pools respawned per wave would show more
+        // distinct worker ids than one pool has threads; a reused pool
+        // never can. (Thread ids are never recycled within a process.)
         let ctx = ExecCtx::new(ClusterSpec::new(1, 4).unwrap());
-        let names = |v: Vec<Option<String>>| {
-            let mut v: Vec<String> = v.into_iter().flatten().collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        let first = names(
-            ctx.run_wave(8, |_| std::thread::current().name().map(String::from))
-                .unwrap(),
-        );
-        let second = names(
-            ctx.run_wave(8, |_| std::thread::current().name().map(String::from))
-                .unwrap(),
-        );
-        let workers_seen = |v: &[String]| v.iter().any(|n| n.starts_with("sjdf-worker-"));
-        if workers_seen(&first) && workers_seen(&second) {
-            let w1: Vec<&String> = first
-                .iter()
-                .filter(|n| n.starts_with("sjdf-worker-"))
-                .collect();
-            assert!(
-                w1.iter().all(|n| second.contains(n)),
-                "{first:?} {second:?}"
-            );
+        let threads = ctx.cluster.local_threads();
+        if threads < 2 {
+            return; // single-core host: the caller runs every task
         }
+        let pool = ctx.pool.workers();
+        let caller = std::thread::current().id();
+        let mut workers = std::collections::HashSet::new();
+        for _ in 0..=pool {
+            let barrier = Arc::new(std::sync::Barrier::new(threads));
+            let ids = ctx
+                .run_wave(threads, move |_| {
+                    barrier.wait();
+                    std::thread::current().id()
+                })
+                .unwrap();
+            workers.extend(ids.into_iter().filter(|id| *id != caller));
+        }
+        assert!(
+            workers.len() <= pool,
+            "{} distinct workers ran waves on a {pool}-thread pool",
+            workers.len()
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! AMG job's rack is the heat outlier, with a steadily rising profile.
 
 use scrubjay::prelude::*;
+use sjcore::derivations::DerivationSpec;
 use sjdata::{dat1, Dat1Config};
 use std::collections::HashMap;
 
@@ -37,25 +38,115 @@ fn engine_finds_the_figure5_sequence() {
     let engine = QueryEngine::new(&catalog);
     let plan = engine.solve(&rack_heat_query()).unwrap();
 
-    // All three datasets participate, connected by two combinations.
-    let mut loads = plan.loads();
-    loads.sort();
-    assert_eq!(loads, vec!["job_queue_log", "node_layout", "rack_temps"]);
-    assert_eq!(plan.num_combines(), 2);
+    // The paper's tree: the layout joins the job side, and heat is the
+    // left input of the interpolation join, which emits one row per
+    // matched left element. The join is anchored on the queried `rack`.
+    let cfg = EngineConfig::default();
+    let jobs_on_racks = Plan::load("job_queue_log")
+        .then(DerivationSpec::ExplodeDiscrete {
+            column: "nodelist".into(),
+        })
+        .combine(DerivationSpec::NaturalJoin, Plan::load("node_layout"))
+        .then(DerivationSpec::ExplodeContinuous {
+            column: "timespan".into(),
+            step_secs: cfg.explode_step_secs,
+        });
+    let expected = Plan::load("rack_temps")
+        .then(DerivationSpec::DeriveHeat)
+        .combine(
+            DerivationSpec::InterpolationJoin {
+                window_secs: cfg.interp_window_secs,
+            },
+            jobs_on_racks,
+        );
+    assert_eq!(plan, expected, "found:\n{}", plan.describe());
+}
 
-    // The Figure 5 operations all appear, and the top combination is the
-    // interpolation join over time.
-    let ops: Vec<&str> = plan.ops().iter().map(|s| s.op_name()).collect();
-    for expected in [
-        "explode_discrete",
-        "explode_continuous",
-        "derive_heat",
-        "natural_join",
-        "interpolation_join",
-    ] {
-        assert!(ops.contains(&expected), "missing {expected} in {ops:?}");
+/// The tree the planner built before its fold tie-break, rebuilt from
+/// the solved plan's own specs: the layout joins the heat side, and the
+/// twice-exploded job log is interpolation-joined on `compute-node`,
+/// `(derive_heat(rack_temps) ⋈ node_layout) ⋈ᵢ
+/// explode_continuous(explode_discrete(job_queue_log))`. It survives only
+/// as this test's answer oracle.
+fn layout_on_heat_side(plan: &Plan) -> Plan {
+    let Plan::Combine {
+        spec: interp,
+        left: heat,
+        right,
+    } = plan
+    else {
+        panic!("not a combination at the top:\n{}", plan.describe());
+    };
+    let Plan::Transform {
+        spec: explode_continuous,
+        input,
+    } = right.as_ref()
+    else {
+        panic!("no explode_continuous on the right:\n{}", plan.describe());
+    };
+    let Plan::Combine {
+        spec: natural,
+        left: jobs,
+        right: layout,
+    } = input.as_ref()
+    else {
+        panic!("no natural join below it:\n{}", plan.describe());
+    };
+    heat.as_ref()
+        .clone()
+        .combine(natural.clone(), layout.as_ref().clone())
+        .combine(
+            interp.clone(),
+            jobs.as_ref().clone().then(explode_continuous.clone()),
+        )
+}
+
+/// A plan's answer as a sorted multiset of rows whose cells are put in
+/// one column order, keyed by relation, dimension and units, so two
+/// trees that name or order their columns differently (`NODEID` vs
+/// `nodelist_exploded`) compare cell for cell. Returns the column keys
+/// in that order, and the rows.
+fn answer_by_dimension(plan: &Plan, catalog: &Catalog) -> (Vec<String>, Vec<String>) {
+    let result = plan.execute(catalog, None).unwrap();
+    let fields = result.schema().fields().to_vec();
+    let key = |i: usize| {
+        let s = &fields[i].semantics;
+        format!("{:?}/{}/{}", s.relation, s.dimension, s.units)
+    };
+    let mut order: Vec<usize> = (0..fields.len()).collect();
+    order.sort_by_key(|&i| key(i));
+    let keys: Vec<String> = order.iter().map(|&i| key(i)).collect();
+    let mut rows: Vec<String> = result
+        .collect()
+        .unwrap()
+        .iter()
+        .map(|r| {
+            let cells: Vec<&Value> = order.iter().map(|&i| r.get(i)).collect();
+            format!("{cells:?}")
+        })
+        .collect();
+    rows.sort();
+    (keys, rows)
+}
+
+#[test]
+fn figure5_answer_equals_the_layout_on_heat_side_tree() {
+    for cfg in [small_cfg(), Dat1Config::default()] {
+        let ctx = ExecCtx::local();
+        let (catalog, _) = dat1(&ctx, &cfg).unwrap();
+        let plan = QueryEngine::new(&catalog)
+            .solve(&rack_heat_query())
+            .unwrap();
+        let (keys, rows) = answer_by_dimension(&plan, &catalog);
+        let (oracle_keys, oracle_rows) = answer_by_dimension(&layout_on_heat_side(&plan), &catalog);
+        let mut unique = keys.clone();
+        unique.dedup();
+        assert_eq!(unique, keys, "column keys must match one column each");
+        assert_eq!(keys, oracle_keys);
+        assert!(!rows.is_empty());
+        assert_eq!(rows.len(), oracle_rows.len(), "row counts differ");
+        assert!(rows == oracle_rows, "answers differ as multisets");
     }
-    assert_eq!(*ops.last().unwrap(), "interpolation_join");
 }
 
 #[test]

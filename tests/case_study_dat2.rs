@@ -64,6 +64,27 @@ fn engine_finds_the_figure7_sequence() {
         .position(|o| *o == "derive_active_frequency")
         .unwrap();
     assert!(freq_pos > rate_pos);
+
+    // The whole tree, pinned:
+    //
+    //   derive_active_frequency
+    //   └─ natural_join
+    //      ├─ interpolation_join(W=120s)
+    //      │  ├─ derive_count_rate(per 0.001s)
+    //      │  │  └─ load(ipmi)
+    //      │  └─ derive_count_rate(per 0.001s)
+    //      │     └─ load(papi)
+    //      └─ load(cpu_specs)
+    //
+    // Its interpolation join is anchored on `compute-node`, which the
+    // query asks for, so the planner's fold tie-break keeps the
+    // left-deep fold and the spec join stays above the PAPI×IPMI join.
+    assert_eq!(
+        plan.fingerprint(),
+        0x265a_173d_0ac0_12cc,
+        "{}",
+        plan.describe()
+    );
 }
 
 #[test]

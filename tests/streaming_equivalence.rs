@@ -10,7 +10,7 @@
 //! proves the incremental maintenance path (slice evaluation + cached
 //! windows + tag invalidation) loses nothing relative to batch solving.
 
-use sjcore::engine::{EngineConfig, Query, QueryValue};
+use sjcore::engine::{EngineConfig, Query, QueryEngine, QueryValue};
 use sjdata::{disarray_schedule, stream_catalog, Disarray};
 use sjdf::ExecCtx;
 use sjstream::{StreamConfig, StreamEngine};
@@ -162,4 +162,23 @@ fn disarray_policies_are_exercised() {
         skewed.append(&batch).unwrap();
     }
     assert!(skewed.watermark_us() < engine.watermark_us());
+}
+
+/// The standing query's plan, pinned by fingerprint: its interpolation
+/// join is anchored on the queried `compute-node`, so the planner's fold
+/// tie-break leaves it alone. The fingerprint keys plan, result and
+/// route caches, so a change here is a visible change.
+#[test]
+fn standing_query_plan_fingerprint_is_pinned() {
+    let ctx = ExecCtx::local();
+    let catalog = stream_catalog(&ctx).expect("stream catalog");
+    let plan = QueryEngine::new(&catalog)
+        .solve(&standing_query())
+        .expect("standing query solves");
+    assert_eq!(
+        plan.fingerprint(),
+        0x9221_8760_b3af_837d,
+        "{}",
+        plan.describe()
+    );
 }
