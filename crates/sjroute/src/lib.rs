@@ -21,7 +21,9 @@
 //!   [`merge`]), heartbeat mark-down/mark-up, and epoch-driven cache
 //!   invalidation ([`cache`]). Implements
 //!   [`sjserve::server::RequestHandler`], so the stock `sjwire` TCP
-//!   front end serves it unmodified.
+//!   front end serves it unmodified. Its `stats` come from the same
+//!   [`sjserve::metrics::Registry`] a worker uses, over a
+//!   [`sjserve::RouterStatsReport`].
 //! - [`stream`] — streamed fan-out: `subscribe: true` through the
 //!   router opens one upstream subscription per worker reproducing the
 //!   reference plan and merges their (byte-identical) frame streams in
@@ -39,7 +41,6 @@
 pub mod cache;
 pub mod chaos;
 pub mod merge;
-pub mod metrics;
 pub mod placement;
 pub mod ring;
 pub mod router;
@@ -48,7 +49,6 @@ pub mod topology;
 
 pub use cache::RouteCache;
 pub use chaos::KillSchedule;
-pub use metrics::RouterMetrics;
 pub use placement::{assign, partition_dir, ShardDir};
 pub use ring::Ring;
 pub use router::{Router, RouterConfig};

@@ -38,7 +38,7 @@ use sjcore::SjError;
 use sjdf::ExecCtx;
 use sjserve::cache::{PlanCacheLayer, PlanKey};
 use sjserve::client::{Client, ClientError};
-use sjserve::metrics::RouterStatsReport;
+use sjserve::metrics::{Registry, RouterStatsReport};
 use sjserve::protocol::{
     codes, CatalogInfo, ErrorBody, HealthReport, PlanInfo, QuerySpec, Request, Response,
     SubscriptionAck, TraceSummary, Verb, PROTO_VERSION,
@@ -48,7 +48,6 @@ use sjserve::server::{EmissionSink, RequestHandler};
 use sjtrace::{EventKind, RecordedSpan, SpanEvent, SpanId};
 
 use crate::cache::RouteCache;
-use crate::metrics::RouterMetrics;
 use crate::stream::RouterStreams;
 use crate::topology::Topology;
 
@@ -96,7 +95,7 @@ pub(crate) struct RouterInner {
     pub(crate) ctx: ExecCtx,
     pub(crate) plan_cache: PlanCacheLayer,
     pub(crate) route_cache: RouteCache,
-    pub(crate) metrics: RouterMetrics,
+    pub(crate) metrics: Registry<RouterStatsReport>,
     /// Standing queries routed across the fleet (see [`crate::stream`]).
     pub(crate) streams: RouterStreams,
     scheduler: Scheduler,
@@ -127,7 +126,7 @@ impl Router {
             ctx: ExecCtx::local(),
             plan_cache: PlanCacheLayer::new(),
             route_cache: RouteCache::default(),
-            metrics: RouterMetrics::new(),
+            metrics: Registry::new(),
             streams: RouterStreams::new(),
             scheduler: Scheduler::new(config.scheduler.clone()),
             route_workers: Mutex::new(Vec::new()),
@@ -363,7 +362,9 @@ impl Router {
                 }
             }
         }
-        inner.metrics.appends_forwarded(forwarded);
+        inner
+            .metrics
+            .update(|r| r.stream_appends_forwarded += forwarded as u64);
         // A transport failure means the worker may be gone entirely: its
         // feeds cannot be trusted even if nobody else ingested the batch
         // (retrying the append later would diverge its prefix anyway).
@@ -591,12 +592,15 @@ impl Router {
             query_id: query_id.clone(),
         };
         match inner.scheduler.submit(job) {
-            Ok(depth) => {
-                inner.metrics.admitted(&tenant);
-                inner.metrics.queue_depth_changed(depth);
-            }
+            Ok(depth) => inner.metrics.tenant(&tenant, |r, t| {
+                t.admitted += 1;
+                r.note_queue_depth(depth);
+            }),
             Err(AdmissionError::QueueFull { depth, capacity }) => {
-                inner.metrics.rejected_full(&tenant);
+                inner.metrics.tenant(&tenant, |r, t| {
+                    t.rejected += 1;
+                    r.rejected_queue_full += 1;
+                });
                 let mut r = Response::fail(
                     &id,
                     ErrorBody::new(
@@ -619,7 +623,7 @@ impl Router {
         let response = match slot.wait_until(deadline) {
             Some(response) => response,
             None => {
-                inner.metrics.timed_out();
+                inner.metrics.update(|r| r.timeouts += 1);
                 let mut r = Response::fail(
                     &id,
                     ErrorBody::new(
@@ -631,18 +635,36 @@ impl Router {
                 r
             }
         };
-        inner.metrics.completed(&tenant);
-        inner.metrics.route_finished(started.elapsed());
+        inner.metrics.tenant(&tenant, |_, t| t.completed += 1);
+        // Routed latency: queue + fan-out + merge.
+        inner.metrics.finished(started.elapsed(), |_| {});
         response
     }
 
     /// Current router metrics (the `stats` verb payload).
     pub fn stats_report(&self) -> RouterStatsReport {
         let inner = &self.inner;
-        inner.metrics.queue_depth_changed(inner.scheduler.depth());
-        inner
-            .metrics
-            .snapshot(inner.route_cache.stats(), inner.topology.summaries())
+        // Read everything kept outside the registry first: its lock is a
+        // leaf.
+        let uptime = inner.metrics.uptime();
+        let cache = inner.route_cache.stats();
+        let depth = inner.scheduler.depth();
+        let workers = inner.topology.summaries();
+        inner.metrics.snapshot(|r, latency, tenants| {
+            r.uptime_ms = uptime.as_millis() as u64;
+            r.note_queue_depth(depth);
+            r.route_latency_count = latency.count();
+            r.route_latency_ms_p50 = latency.quantile_ms(0.50);
+            r.route_latency_ms_p99 = latency.quantile_ms(0.99);
+            r.route_latency_ms_max = latency.max_ms();
+            r.route_cache_entries = cache.entries;
+            r.route_cache_hits = cache.hits;
+            r.route_cache_misses = cache.misses;
+            r.route_cache_bytes = cache.bytes;
+            r.route_cache_evictions = cache.evictions;
+            r.workers = workers;
+            r.per_tenant = tenants;
+        })
     }
 
     /// The fleet as the router currently sees it (test/observability
@@ -695,7 +717,7 @@ impl RequestHandler for Router {
     }
 
     fn protocol_request(&self) {
-        self.inner.metrics.protocol_request()
+        self.inner.metrics.update(|r| r.requests_binary += 1);
     }
 
     fn shutdown(&self) -> RouterStatsReport {
@@ -740,12 +762,12 @@ fn solve_reference(
 
 fn route_worker_loop(inner: &RouterInner) {
     while let Some((job, depth)) = inner.scheduler.next_job() {
-        inner.metrics.queue_depth_changed(depth);
+        inner.metrics.update(|r| r.note_queue_depth(depth));
         if job.slot.is_cancelled() {
             continue;
         }
         if Instant::now() >= job.deadline {
-            inner.metrics.timed_out();
+            inner.metrics.update(|r| r.timeouts += 1);
             job.slot.fulfill(Response::fail(
                 &job.request.id,
                 ErrorBody::new(codes::TIMEOUT, "deadline elapsed while queued"),
@@ -933,7 +955,7 @@ fn route_query(
         }
     }
 
-    inner.metrics.routed();
+    inner.metrics.update(|r| r.routed_queries += 1);
     let cover: Vec<String> = plan.loads().iter().map(|s| s.to_string()).collect();
 
     // Single-shard fast path: some live worker's own catalog derives the
@@ -957,7 +979,7 @@ fn route_query(
             Ok(mut resp) => {
                 resp.id = id.clone();
                 if resp.is_degraded() {
-                    inner.metrics.degraded();
+                    inner.metrics.update(|r| r.degraded += 1);
                 }
                 if caching && resp.is_ok() {
                     let mut cached = resp.clone();
@@ -1090,7 +1112,7 @@ fn route_query(
     }
 
     if groups.len() > 1 {
-        inner.metrics.scatter_gather();
+        inner.metrics.update(|r| r.scatter_gather_queries += 1);
     }
 
     // Fan out: one thread per group, each with its own failover budget.
@@ -1204,7 +1226,7 @@ fn route_query(
         }
         r
     } else {
-        inner.metrics.degraded();
+        inner.metrics.update(|r| r.degraded += 1);
         let detail = if failures.is_empty() {
             "a shard answered degraded".to_string()
         } else {
@@ -1255,7 +1277,7 @@ fn call_with_failover(
     let mut last_err = "no candidate workers".to_string();
     for (attempt, &idx) in candidates.iter().take(2).enumerate() {
         if attempt > 0 {
-            inner.metrics.failover();
+            inner.metrics.update(|r| r.failovers += 1);
         }
         let mut span = trace.map(|(parent, root)| tracer.child_span("worker_call", parent, root));
         if let Some(s) = span.as_mut() {
@@ -1321,7 +1343,7 @@ fn note_failure(inner: &RouterInner, idx: usize) {
         .topology
         .record_failure(idx, inner.config.markdown_after)
     {
-        inner.metrics.markdown();
+        inner.metrics.update(|r| r.worker_markdowns += 1);
     }
 }
 
@@ -1381,7 +1403,7 @@ fn probe_all(inner: &RouterInner) {
                 if let Ok(info) = fetch_catalog(inner, idx) {
                     inner.topology.refresh(idx, info, &inner.ctx);
                     if was_healthy && changed {
-                        inner.metrics.epoch_invalidation();
+                        inner.metrics.update(|r| r.epoch_invalidations += 1);
                     }
                     inner.route_cache.invalidate_all();
                     inner.plan_cache.clear();

@@ -130,7 +130,7 @@ impl RouterStreams {
             closed: AtomicBool::new(false),
         });
         inner.streams.subs.lock().push(Arc::clone(&sub));
-        inner.metrics.stream_opened();
+        inner.metrics.update(|r| r.streams_active += 1);
         for (feed, client) in readers {
             let inner = Arc::clone(inner);
             let sub = Arc::clone(&sub);
@@ -192,7 +192,10 @@ impl RouterStreams {
             let _ = feed.socket.shutdown(Shutdown::Both);
         }
         self.subs.lock().retain(|s| !Arc::ptr_eq(s, sub));
-        inner.metrics.stream_closed();
+        // Saturating: teardown paths may race connection close.
+        inner
+            .metrics
+            .update(|r| r.streams_active = r.streams_active.saturating_sub(1));
     }
 }
 
@@ -213,7 +216,7 @@ fn reader_loop(
                 if let Some(w) = &frame.window {
                     feed.watermark_us.store(w.watermark_us, Ordering::Relaxed);
                 }
-                inner.metrics.worker_frame();
+                inner.metrics.update(|r| r.stream_worker_frames += 1);
                 feed.queue.lock().push_back(frame);
                 pump(inner, sub);
             }
@@ -224,7 +227,7 @@ fn reader_loop(
                 // the client a structured error instead of silence.
                 let was_alive = feed.alive.swap(false, Ordering::AcqRel);
                 if was_alive && !sub.closed() {
-                    inner.metrics.stream_worker_lost();
+                    inner.metrics.update(|r| r.stream_worker_losses += 1);
                 }
                 pump(inner, sub);
                 if !sub.closed() && !sub.feeds.iter().any(|f| f.alive()) {
@@ -281,7 +284,10 @@ fn pump(inner: &Arc<RouterInner>, sub: &Arc<RouterSub>) {
             inner.streams.close(inner, sub);
             return;
         }
-        inner.metrics.frame_pushed(re_emission);
+        inner.metrics.update(|r| {
+            r.stream_frames_pushed += 1;
+            r.stream_re_emissions += u64::from(re_emission);
+        });
         if tear_down {
             inner.streams.close(inner, sub);
             return;

@@ -41,6 +41,20 @@ fn single_shard_query_routes_to_the_holder_and_caches() {
     assert_eq!(stats.routed_queries, 1, "{stats:?}");
     assert_eq!(stats.scatter_gather_queries, 0, "{stats:?}");
     assert!(stats.route_cache_hits >= 1, "{stats:?}");
+    // The rest of the snapshot: route cache, latency, queue, fleet and
+    // tenant accounting.
+    assert_eq!(stats.route_cache_entries, 1, "{stats:?}");
+    assert!(stats.route_cache_misses >= 1 && stats.route_cache_bytes > 0);
+    assert_eq!(stats.route_latency_count, 2, "both queries are timed");
+    assert!(stats.route_latency_ms_max >= stats.route_latency_ms_p99);
+    assert!(stats.route_latency_ms_p99 >= stats.route_latency_ms_p50);
+    assert!(stats.route_latency_ms_p50 > 0.0);
+    assert!(stats.queue_depth_peak >= 1, "{stats:?}");
+    assert_eq!(stats.workers.len(), 2);
+    assert!(stats.workers.iter().all(|w| w.healthy));
+    let tenant = &stats.per_tenant[..];
+    assert_eq!(tenant.len(), 1, "{tenant:?}");
+    assert_eq!((tenant[0].admitted, tenant[0].completed), (2, 2));
     a.stop();
     b.stop();
 }

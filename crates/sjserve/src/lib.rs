@@ -15,9 +15,12 @@
 //!   `shutdown` verbs, the last from loopback peers only) with one
 //!   thread per connection and a bounded worker pool behind it.
 //! - [`client::Client`] — the typed blocking client `sjq --server` uses.
-//! - [`metrics::ServiceMetrics`] — request, rejection, timeout, queue
-//!   depth, latency-percentile, and cache-hit accounting, exposed through
-//!   the `stats` verb and dumped on shutdown.
+//! - [`metrics::Registry`] — the one metrics registry both daemons
+//!   report into. Its schema is the daemon's own `stats` payload
+//!   ([`StatsReport`] here, [`RouterStatsReport`] for `sjrouted`): request,
+//!   rejection, timeout, queue-depth, latency-percentile, cache-hit and
+//!   per-tenant accounting, exposed through the `stats` verb and dumped
+//!   on shutdown.
 //!
 //! Admission control is deliberately simple and fully structural: a
 //! bounded queue (excess requests are rejected immediately with a
@@ -38,9 +41,7 @@ pub mod service;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use metrics::{
-    RouterStatsReport, ServiceMetrics, StatsReport, StreamStatsReport, WorkerSummary,
-};
+pub use metrics::{Registry, RouterStatsReport, StatsReport, StreamStatsReport, WorkerSummary};
 pub use protocol::{
     AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, QuerySpec, Request, Response,
     SubscriptionAck, ValueSpec, Verb, PROTO_VERSION,

@@ -1,28 +1,40 @@
-//! Service-level metrics: request counters, queue depth, latency
-//! percentiles, cache hit rates, and per-tenant accounting.
+//! Daemon metrics: the `stats` payloads and the one [`Registry`] each
+//! daemon reports into.
 //!
-//! Counters are lock-free atomics; the latency histogram and the
-//! per-tenant table take a short mutex only on record and snapshot. The
-//! histogram uses power-of-two buckets over microseconds — 64 buckets
-//! cover 1µs to ~584000 years, and a quantile is read by walking the
-//! cumulative counts and reporting the bucket's geometric midpoint, which
-//! bounds the relative error at √2.
+//! The report is the schema. A registry holds its daemon's own `stats`
+//! payload — [`StatsReport`] for `sjserved`, [`RouterStatsReport`] for
+//! `sjrouted` — so a counter is one report field, its JSON name is the
+//! field name, and a call site bumps it with a one-line closure
+//! (`metrics.update(|r| r.failovers += 1)`). The latency histogram and
+//! the per-tenant table sit under the same mutex, so every snapshot is
+//! consistent: a request is never counted as finished without its
+//! latency. That mutex is a leaf lock — callers compute every value
+//! first and a closure only assigns fields.
+//!
+//! The histogram is log-linear over microseconds: exact below 16µs,
+//! then 16 linear sub-buckets per power of two up to 2^44µs (~200
+//! days). A quantile reports its sub-bucket's midpoint clamped to the
+//! observed range, within 1/32 (3.125%) of the exact order statistic.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sjdf::{CacheStats, StageCacheStats};
 
-const BUCKETS: usize = 64;
+/// Sub-buckets per power of two, as bits: below `SUB` µs every value
+/// has its own bucket.
+const SUB_BITS: u32 = 4;
+const SUB: u64 = 1 << SUB_BITS;
+/// One exact range plus 40 octaves of `SUB` sub-buckets: [0, 2^44) µs.
+const BUCKETS: usize = 41 * SUB as usize;
 
-/// Log₂-bucketed latency histogram (microsecond resolution).
+/// Log-linear latency histogram (microsecond resolution, fixed size).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
+    min_us: u64,
     max_us: u64,
 }
 
@@ -31,35 +43,59 @@ impl Default for Histogram {
         Histogram {
             buckets: [0; BUCKETS],
             count: 0,
+            min_us: u64::MAX,
             max_us: 0,
         }
     }
 }
 
+/// The bucket holding `us`: its octave's offset plus its top
+/// `SUB_BITS + 1` bits (all of `us` below `SUB`).
+fn bucket(us: u64) -> usize {
+    let shift = us.checked_ilog2().unwrap_or(0).saturating_sub(SUB_BITS);
+    ((u64::from(shift) * SUB + (us >> shift)) as usize).min(BUCKETS - 1)
+}
+
+/// Bucket `i`'s smallest value and width in µs (inverse of [`bucket`]).
+fn bucket_range(i: usize) -> (u64, u64) {
+    let i = i as u64;
+    let shift = (i / SUB).saturating_sub(1);
+    ((i - shift * SUB) << shift, 1 << shift)
+}
+
 impl Histogram {
     pub fn record(&mut self, latency: Duration) {
-        let us = (latency.as_micros() as u64).max(1);
-        self.buckets[us.ilog2() as usize] += 1;
+        // Sub-microsecond requests read as 1µs, so a p50 of 0.0 only
+        // ever means "no samples".
+        let us = u64::try_from(latency.as_micros())
+            .unwrap_or(u64::MAX)
+            .max(1);
+        self.buckets[bucket(us)] += 1;
         self.count += 1;
+        self.min_us = self.min_us.min(us);
         self.max_us = self.max_us.max(us);
     }
 
-    /// The q-quantile (0 < q ≤ 1) in milliseconds, 0.0 when empty.
+    /// The q-quantile (0 < q ≤ 1) in milliseconds, 0.0 when empty: the
+    /// midpoint of the bucket holding the `⌈q·count⌉`-th smallest
+    /// sample, clamped to the recorded min and max.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                // Geometric midpoint of [2^i, 2^(i+1)) microseconds.
-                let mid_us = (1u64 << i) as f64 * std::f64::consts::SQRT_2;
-                return mid_us / 1000.0;
-            }
-        }
-        self.max_us as f64 / 1000.0
+        let i = self
+            .buckets
+            .iter()
+            .position(|&n| {
+                seen += n;
+                seen >= target
+            })
+            .expect("bucket counts sum to count");
+        let (lo, width) = bucket_range(i);
+        let mid_us = lo as f64 + (width - 1) as f64 / 2.0;
+        mid_us.clamp(self.min_us as f64, self.max_us as f64) / 1000.0
     }
 
     pub fn max_ms(&self) -> f64 {
@@ -163,8 +199,9 @@ pub struct StatsReport {
     /// non-zero value means traces may be missing spans).
     #[serde(default)]
     pub trace_spans_dropped: u64,
-    /// Streaming-ingestion section; `None` from workers without a
-    /// stream engine (older builds) and on reports from routers.
+    /// Streaming-ingestion section; `None` only from older workers
+    /// built without a stream engine. (Routers answer with a
+    /// [`RouterStatsReport`], never this.)
     #[serde(default)]
     pub streaming: Option<StreamStatsReport>,
     /// Always 0: the JSON-lines transport was retired. Kept so parsers
@@ -234,6 +271,34 @@ impl StreamStatsReport {
 }
 
 impl StatsReport {
+    /// Set the queue-depth gauge and raise its high-water mark.
+    pub fn note_queue_depth(&mut self, depth: usize) {
+        self.queue_depth = depth as u64;
+        self.queue_depth_peak = self.queue_depth_peak.max(self.queue_depth);
+    }
+
+    /// The streaming section, created on first use.
+    pub fn stream(&mut self) -> &mut StreamStatsReport {
+        self.streaming
+            .get_or_insert_with(StreamStatsReport::default)
+    }
+
+    /// Fold one execution's fault/retry accounting into the totals
+    /// (successful and degraded queries alike).
+    pub fn note_failures(&mut self, failures: &sjdf::FailureReport) {
+        self.engine_task_retries += failures.task_retries;
+        self.engine_tasks_exhausted += failures.tasks_exhausted;
+    }
+
+    /// Count one extracted request trace. `dropped_total` is the
+    /// tracer's cumulative drop counter, kept as a gauge: the tracer
+    /// never resets it, so the latest reading wins.
+    pub fn note_trace(&mut self, spans: u64, dropped_total: u64) {
+        self.traces_recorded += 1;
+        self.trace_spans_recorded += spans;
+        self.trace_spans_dropped = dropped_total;
+    }
+
     /// Multi-line human-readable rendering (the shutdown dump).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -400,6 +465,12 @@ pub struct RouterStatsReport {
 }
 
 impl RouterStatsReport {
+    /// Set the queue-depth gauge and raise its high-water mark.
+    pub fn note_queue_depth(&mut self, depth: usize) {
+        self.queue_depth = depth as u64;
+        self.queue_depth_peak = self.queue_depth_peak.max(self.queue_depth);
+    }
+
     /// Multi-line human-readable rendering (the shutdown dump).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -462,69 +533,33 @@ impl RouterStatsReport {
     }
 }
 
-/// The live registry all request paths report into.
+/// One daemon's live metrics: its own `stats` payload `R` (the counters
+/// and gauges), the latency [`Histogram`] and the per-tenant table, all
+/// behind one leaf mutex. Compute every value before calling in; a
+/// closure only assigns fields.
 #[derive(Debug)]
-pub struct ServiceMetrics {
+pub struct Registry<R> {
     started: Instant,
-    requests_total: AtomicU64,
-    requests_ok: AtomicU64,
-    requests_error: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    timeouts: AtomicU64,
-    in_flight: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    requests_degraded: AtomicU64,
-    engine_task_retries: AtomicU64,
-    engine_tasks_exhausted: AtomicU64,
-    planner_pair_tests: AtomicU64,
-    planner_memo_hits: AtomicU64,
-    planner_datasets_considered: AtomicU64,
-    searches_truncated: AtomicU64,
-    traces_recorded: AtomicU64,
-    trace_spans_recorded: AtomicU64,
-    trace_spans_dropped: AtomicU64,
-    subscriptions_opened: AtomicU64,
-    subscriptions_failed: AtomicU64,
-    subscriptions_closed: AtomicU64,
-    requests_binary: AtomicU64,
-    latency: Mutex<Histogram>,
-    tenants: Mutex<BTreeMap<String, TenantStats>>,
+    live: Mutex<Live<R>>,
 }
 
-impl Default for ServiceMetrics {
+#[derive(Debug, Default)]
+struct Live<R> {
+    report: R,
+    latency: Histogram,
+    tenants: BTreeMap<String, TenantStats>,
+}
+
+impl<R: Default> Default for Registry<R> {
     fn default() -> Self {
-        ServiceMetrics {
+        Registry {
             started: Instant::now(),
-            requests_total: AtomicU64::new(0),
-            requests_ok: AtomicU64::new(0),
-            requests_error: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_depth_peak: AtomicU64::new(0),
-            requests_degraded: AtomicU64::new(0),
-            engine_task_retries: AtomicU64::new(0),
-            engine_tasks_exhausted: AtomicU64::new(0),
-            planner_pair_tests: AtomicU64::new(0),
-            planner_memo_hits: AtomicU64::new(0),
-            planner_datasets_considered: AtomicU64::new(0),
-            searches_truncated: AtomicU64::new(0),
-            traces_recorded: AtomicU64::new(0),
-            trace_spans_recorded: AtomicU64::new(0),
-            trace_spans_dropped: AtomicU64::new(0),
-            subscriptions_opened: AtomicU64::new(0),
-            subscriptions_failed: AtomicU64::new(0),
-            subscriptions_closed: AtomicU64::new(0),
-            requests_binary: AtomicU64::new(0),
-            latency: Mutex::new(Histogram::default()),
-            tenants: Mutex::new(BTreeMap::new()),
+            live: Mutex::new(Live::default()),
         }
     }
 }
 
-impl ServiceMetrics {
+impl<R: Default + Clone> Registry<R> {
     pub fn new() -> Self {
         Self::default()
     }
@@ -533,227 +568,51 @@ impl ServiceMetrics {
         self.started.elapsed()
     }
 
-    pub fn request_started(&self) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
+    /// Bump counters or set gauges: `metrics.update(|r| r.failovers += 1)`.
+    pub fn update(&self, f: impl FnOnce(&mut R)) {
+        f(&mut self.live.lock().report);
     }
 
-    pub fn request_finished(&self, ok: bool, latency: Duration) {
-        if ok {
-            self.requests_ok.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.requests_error.fetch_add(1, Ordering::Relaxed);
-        }
-        self.latency.lock().record(latency);
-    }
-
-    pub fn rejected_full(&self, tenant: &str) {
-        self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-        self.tenant_entry(tenant, |t| t.rejected += 1);
-    }
-
-    pub fn timed_out(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn degraded(&self) {
-        self.requests_degraded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold one execution's fault/retry accounting into the service
-    /// totals (called for successful and degraded queries alike).
-    pub fn engine_failures(&self, failures: &sjdf::FailureReport) {
-        self.engine_task_retries
-            .fetch_add(failures.task_retries, Ordering::Relaxed);
-        self.engine_tasks_exhausted
-            .fetch_add(failures.tasks_exhausted, Ordering::Relaxed);
-    }
-
-    pub fn degraded_count(&self) -> u64 {
-        self.requests_degraded.load(Ordering::Relaxed)
-    }
-
-    /// Fold one solve's search-effort counters into the service totals.
-    /// The per-request engine starts from zeroed stats, so its final
-    /// reading is exactly this solve's contribution.
-    pub fn planner_effort(&self, stats: &sjcore::engine::EngineStats) {
-        self.planner_pair_tests
-            .fetch_add(stats.pair_tests, Ordering::Relaxed);
-        self.planner_memo_hits
-            .fetch_add(stats.memo_hits, Ordering::Relaxed);
-        self.planner_datasets_considered
-            .fetch_add(stats.datasets_considered as u64, Ordering::Relaxed);
-    }
-
-    /// A solve was stopped by its dataset budget.
-    pub fn search_truncated(&self) {
-        self.searches_truncated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one extracted request trace. `dropped_total` is the
-    /// tracer's cumulative drop counter, stored as a gauge (the tracer
-    /// never resets it, so `store` keeps the latest reading).
-    pub fn trace_finished(&self, spans: u64, dropped_total: u64) {
-        self.traces_recorded.fetch_add(1, Ordering::Relaxed);
-        self.trace_spans_recorded
-            .fetch_add(spans, Ordering::Relaxed);
-        self.trace_spans_dropped
-            .store(dropped_total, Ordering::Relaxed);
-    }
-
-    /// A standing query was registered.
-    pub fn subscription_opened(&self) {
-        self.subscriptions_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A standing query was torn down by its own failed solve (the
-    /// connection and the tenant's other subscriptions survive).
-    pub fn subscription_failed(&self) {
-        self.subscriptions_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A standing query was closed by the client side.
-    pub fn subscription_closed(&self) {
-        self.subscriptions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One request arrived over the wire (recorded by the TCP front
-    /// end; in-process embedders are not counted).
-    pub fn protocol_request(&self) {
-        self.requests_binary.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Compose the streaming section of a [`StatsReport`] from the
-    /// engine's counters plus the service-side lifecycle counters.
-    pub fn stream_report(
-        &self,
-        counters: &sjstream::StreamCounters,
-        active: u64,
-        cache_invalidations: u64,
-    ) -> StreamStatsReport {
-        StreamStatsReport {
-            appends: counters.appends,
-            rows_accepted: counters.rows_accepted,
-            rows_late_dropped: counters.rows_late_dropped,
-            rows_duplicate_dropped: counters.rows_duplicate_dropped,
-            subscriptions_active: active,
-            subscriptions_opened: self.subscriptions_opened.load(Ordering::Relaxed),
-            subscriptions_failed: self.subscriptions_failed.load(Ordering::Relaxed),
-            subscriptions_closed: self.subscriptions_closed.load(Ordering::Relaxed),
-            window_emissions: counters.window_emissions,
-            window_re_emissions: counters.window_re_emissions,
-            incremental_recomputes: counters.incremental_recomputes,
-            degraded_windows: counters.degraded_windows,
-            cache_invalidations,
-        }
-    }
-
-    pub fn admitted(&self, tenant: &str) {
-        self.tenant_entry(tenant, |t| t.admitted += 1);
-    }
-
-    pub fn completed(&self, tenant: &str) {
-        self.tenant_entry(tenant, |t| t.completed += 1);
-    }
-
-    fn tenant_entry(&self, tenant: &str, f: impl FnOnce(&mut TenantStats)) {
-        let mut map = self.tenants.lock();
-        let entry = map
+    /// Account an admission event to `tenant`, together with any
+    /// counter that moves with it.
+    pub fn tenant(&self, tenant: &str, f: impl FnOnce(&mut R, &mut TenantStats)) {
+        let live = &mut *self.live.lock();
+        let entry = live
+            .tenants
             .entry(tenant.to_string())
             .or_insert_with(|| TenantStats {
                 tenant: tenant.to_string(),
                 ..TenantStats::default()
             });
-        f(entry);
+        f(&mut live.report, entry);
     }
 
-    pub fn queue_depth_changed(&self, depth: usize) {
-        let depth = depth as u64;
-        self.queue_depth.store(depth, Ordering::Relaxed);
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+    /// Record one request's latency together with the counters that
+    /// count it finished, so no snapshot sees one without the other.
+    pub fn finished(&self, latency: Duration, f: impl FnOnce(&mut R)) {
+        let mut live = self.live.lock();
+        live.latency.record(latency);
+        f(&mut live.report);
     }
 
-    pub fn exec_started(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn exec_finished(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub fn timeouts_count(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    pub fn rejected_count(&self) -> u64 {
-        self.rejected_queue_full.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot everything; cache numbers are supplied by the owner of
-    /// the caches.
-    pub fn snapshot(
-        &self,
-        plan: CacheStats,
-        result: CacheStats,
-        stage: StageCacheStats,
-    ) -> StatsReport {
-        let latency = self.latency.lock();
-        let per_tenant = self.tenants.lock().values().cloned().collect();
-        StatsReport {
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            requests_ok: self.requests_ok.load(Ordering::Relaxed),
-            requests_error: self.requests_error.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            latency_count: latency.count(),
-            latency_ms_p50: latency.quantile_ms(0.50),
-            latency_ms_p90: latency.quantile_ms(0.90),
-            latency_ms_p99: latency.quantile_ms(0.99),
-            latency_ms_max: latency.max_ms(),
-            plan_cache_entries: plan.entries,
-            plan_cache_hits: plan.hits,
-            plan_cache_misses: plan.misses,
-            plan_cache_bytes: plan.bytes,
-            plan_cache_evictions: plan.evictions,
-            result_cache_entries: result.entries,
-            result_cache_bytes: result.bytes,
-            result_cache_hits: result.hits,
-            result_cache_misses: result.misses,
-            result_cache_evictions: result.evictions,
-            stage_cache_entries: stage.entries,
-            stage_cache_bytes: stage.bytes,
-            stage_cache_hits: stage.hits,
-            stage_cache_misses: stage.misses,
-            stage_cache_evictions: stage.evictions,
-            requests_degraded: self.requests_degraded.load(Ordering::Relaxed),
-            engine_task_retries: self.engine_task_retries.load(Ordering::Relaxed),
-            engine_tasks_exhausted: self.engine_tasks_exhausted.load(Ordering::Relaxed),
-            planner_pair_tests: self.planner_pair_tests.load(Ordering::Relaxed),
-            planner_memo_hits: self.planner_memo_hits.load(Ordering::Relaxed),
-            planner_datasets_considered: self.planner_datasets_considered.load(Ordering::Relaxed),
-            searches_truncated: self.searches_truncated.load(Ordering::Relaxed),
-            traces_recorded: self.traces_recorded.load(Ordering::Relaxed),
-            trace_spans_recorded: self.trace_spans_recorded.load(Ordering::Relaxed),
-            trace_spans_dropped: self.trace_spans_dropped.load(Ordering::Relaxed),
-            requests_json: 0,
-            requests_binary: self.requests_binary.load(Ordering::Relaxed),
-            // Filled in by the service, which owns the stream engine.
-            streaming: None,
-            per_tenant,
-        }
+    /// A consistent copy of the report; `f` fills in the fields derived
+    /// from the histogram and the tenant table, and values the caller
+    /// read elsewhere beforehand.
+    pub fn snapshot(&self, f: impl FnOnce(&mut R, &Histogram, Vec<TenantStats>)) -> R {
+        let live = self.live.lock();
+        let mut report = live.report.clone();
+        f(
+            &mut report,
+            &live.latency,
+            live.tenants.values().cloned().collect(),
+        );
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snapshot_with_plan_cache(m: &ServiceMetrics, plan: CacheStats) -> StatsReport {
-        m.snapshot(plan, CacheStats::default(), StageCacheStats::default())
-    }
 
     #[test]
     fn histogram_percentiles_are_ordered() {
@@ -771,89 +630,169 @@ mod tests {
 
     #[test]
     fn quantile_relative_error_is_bounded() {
-        let mut h = Histogram::default();
-        for _ in 0..1000 {
-            h.record(Duration::from_micros(10_000)); // 10ms exactly
+        // 44ms → 48.4ms is a 10% regression; both must read true.
+        for (ms, n) in [
+            (10.0, 1000),
+            (44.0, 100),
+            (48.4, 100),
+            (30.0, 10),
+            (33.0, 10),
+        ] {
+            let mut h = Histogram::default();
+            for _ in 0..n {
+                h.record(Duration::from_secs_f64(ms / 1e3));
+            }
+            for q in [0.5, 0.9, 0.99] {
+                let p = h.quantile_ms(q);
+                assert!((p - ms).abs() <= 0.032 * ms, "p{q} of {ms}ms read {p}");
+                assert!(p <= h.max_ms(), "p{q}={p} above max {}", h.max_ms());
+            }
         }
-        let p50 = h.quantile_ms(0.5);
-        assert!(
-            (5.0..20.0).contains(&p50),
-            "p50={p50} should be within one bucket of 10ms"
-        );
+    }
+
+    #[test]
+    fn quantiles_track_exact_order_statistics() {
+        // SplitMix64: a seeded stream without a dependency.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for set in 0..200 {
+            let n = 1 + (next() % 2000) as usize;
+            // Log-uniform over 1µs..~17s, so every octave is exercised.
+            let mut samples: Vec<u64> = (0..n)
+                .map(|_| {
+                    let octave = 1u64 << (next() % 24);
+                    octave + next() % octave
+                })
+                .collect();
+            let mut h = Histogram::default();
+            for &us in &samples {
+                h.record(Duration::from_micros(us));
+            }
+            samples.sort_unstable();
+            for q in [0.25, 0.5, 0.9, 0.99, 1.0] {
+                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+                let exact = samples[rank - 1] as f64 / 1000.0;
+                let read = h.quantile_ms(q);
+                assert!(
+                    (read - exact).abs() <= exact / 32.0,
+                    "set {set}: p{q} read {read}ms, exact {exact}ms"
+                );
+                assert!(read <= h.max_ms());
+            }
+        }
     }
 
     #[test]
     fn snapshot_collects_counters_and_tenants() {
-        let m = ServiceMetrics::new();
-        m.request_started();
-        m.request_started();
-        m.admitted("a");
-        m.admitted("b");
-        m.completed("a");
-        m.rejected_full("b");
-        m.timed_out();
-        m.queue_depth_changed(7);
-        m.queue_depth_changed(2);
-        m.request_finished(true, Duration::from_millis(3));
-        m.request_finished(false, Duration::from_millis(9));
-        let s = snapshot_with_plan_cache(
-            &m,
-            CacheStats {
-                entries: 1,
-                hits: 4,
-                misses: 2,
-                bytes: 900,
-                evictions: 3,
-            },
-        );
+        let m = Registry::<StatsReport>::new();
+        m.update(|r| r.requests_total += 2);
+        m.tenant("b", |r, t| {
+            t.admitted += 1;
+            r.note_queue_depth(7);
+        });
+        m.tenant("a", |_, t| t.admitted += 1);
+        m.tenant("a", |_, t| t.completed += 1);
+        m.tenant("b", |r, t| {
+            t.rejected += 1;
+            r.rejected_queue_full += 1;
+        });
+        m.update(|r| {
+            r.timeouts += 1;
+            r.note_queue_depth(2);
+        });
+        m.finished(Duration::from_millis(3), |r| r.requests_ok += 1);
+        m.finished(Duration::from_millis(9), |r| r.requests_error += 1);
+        let s = m.snapshot(|r, latency, tenants| {
+            r.latency_count = latency.count();
+            r.latency_ms_max = latency.max_ms();
+            r.per_tenant = tenants;
+        });
         assert_eq!(s.requests_total, 2);
-        assert_eq!(s.requests_ok, 1);
-        assert_eq!(s.requests_error, 1);
+        assert_eq!((s.requests_ok, s.requests_error), (1, 1));
+        assert_eq!((s.latency_count, s.latency_ms_max), (2, 9.0));
         assert_eq!(s.rejected_queue_full, 1);
         assert_eq!(s.timeouts, 1);
-        assert_eq!(s.queue_depth, 2);
-        assert_eq!(s.queue_depth_peak, 7);
-        assert_eq!(s.plan_cache_hits, 4);
-        assert_eq!((s.plan_cache_bytes, s.plan_cache_evictions), (900, 3));
-        assert_eq!(s.per_tenant.len(), 2);
-        let a = &s.per_tenant[0];
-        assert_eq!((a.tenant.as_str(), a.admitted, a.completed), ("a", 1, 1));
-        assert!(s.render().contains("p50"));
-        assert!(s
-            .render()
-            .contains("plan cache: 1 entries (900 bytes), 4 hits, 2 misses, 3 evictions"));
+        assert_eq!((s.queue_depth, s.queue_depth_peak), (2, 7));
+        // Tenants come back sorted by name.
+        let t: Vec<_> = s
+            .per_tenant
+            .iter()
+            .map(|t| (t.tenant.as_str(), t.admitted, t.rejected, t.completed))
+            .collect();
+        assert_eq!(t, [("a", 1, 0, 1), ("b", 1, 1, 0)]);
+        // The fill touched the copy, not the live report.
+        let again = m.snapshot(|_, _, _| {});
+        assert_eq!((again.latency_count, again.per_tenant.len()), (0, 0));
+    }
+
+    #[test]
+    fn counters_reach_the_snapshot() {
+        // The same registry over the router's report.
+        let m = Registry::<RouterStatsReport>::new();
+        m.update(|r| r.routed_queries += 1);
+        m.tenant("a", |r, t| {
+            t.admitted += 1;
+            r.note_queue_depth(5);
+        });
+        m.update(|r| r.note_queue_depth(1));
+        m.tenant("a", |_, t| t.completed += 1);
+        m.finished(Duration::from_millis(8), |_| {});
+        let s = m.snapshot(|r, latency, tenants| {
+            r.route_latency_count = latency.count();
+            r.route_latency_ms_p99 = latency.quantile_ms(0.99);
+            r.per_tenant = tenants;
+        });
+        assert_eq!(s.routed_queries, 1);
+        assert_eq!((s.queue_depth, s.queue_depth_peak), (1, 5));
+        assert_eq!((s.route_latency_count, s.route_latency_ms_p99), (1, 8.0));
+        assert_eq!(s.per_tenant.len(), 1);
+        assert_eq!(
+            (s.per_tenant[0].admitted, s.per_tenant[0].completed),
+            (1, 1)
+        );
     }
 
     #[test]
     fn fault_counters_reach_the_snapshot_and_render() {
-        let m = ServiceMetrics::new();
-        m.degraded();
+        let m = Registry::<StatsReport>::new();
         let f = sjdf::FailureReport {
             task_retries: 5,
             tasks_exhausted: 2,
             ..sjdf::FailureReport::default()
         };
-        m.engine_failures(&f);
-        m.engine_failures(&f);
-        let s = snapshot_with_plan_cache(&m, CacheStats::default());
+        m.update(|r| {
+            r.note_failures(&f);
+            r.requests_degraded += 1;
+        });
+        m.update(|r| r.note_failures(&f));
+        let s = m.snapshot(|_, _, _| {});
         assert_eq!(s.requests_degraded, 1);
         assert_eq!(s.engine_task_retries, 10);
         assert_eq!(s.engine_tasks_exhausted, 4);
-        assert_eq!(m.degraded_count(), 1);
-        assert!(s.render().contains("degraded"));
+        assert!(s
+            .render()
+            .contains("faults: 1 degraded responses, 10 task retries, 4 tasks exhausted"));
     }
 
     #[test]
     fn trace_gauges_reach_the_snapshot_and_render() {
-        let m = ServiceMetrics::new();
-        m.trace_finished(12, 0);
-        m.trace_finished(5, 3);
-        let s = snapshot_with_plan_cache(&m, CacheStats::default());
+        let m = Registry::<StatsReport>::new();
+        m.update(|r| r.note_trace(12, 0));
+        m.update(|r| r.note_trace(5, 3));
+        let s = m.snapshot(|_, _, _| {});
         assert_eq!(s.traces_recorded, 2);
         assert_eq!(s.trace_spans_recorded, 17);
         // The drop counter is a cumulative gauge: latest reading wins.
         assert_eq!(s.trace_spans_dropped, 3);
-        assert!(s.render().contains("traces: 2 recorded"));
+        assert!(s
+            .render()
+            .contains("traces: 2 recorded (17 spans), 3 spans dropped"));
     }
 
     #[test]
@@ -916,10 +855,18 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let m = ServiceMetrics::new();
-        m.request_started();
-        m.request_finished(true, Duration::from_millis(5));
-        let s = snapshot_with_plan_cache(&m, CacheStats::default());
+        let m = Registry::<StatsReport>::new();
+        m.update(|r| {
+            r.requests_total += 1;
+            r.stream().appends += 3;
+        });
+        m.finished(Duration::from_millis(5), |r| r.requests_ok += 1);
+        m.tenant("t", |_, t| t.admitted += 1);
+        let s = m.snapshot(|r, latency, tenants| {
+            r.latency_ms_p50 = latency.quantile_ms(0.5);
+            r.per_tenant = tenants;
+        });
+        assert_eq!(s.streaming.as_ref().map(|s| s.appends), Some(3));
         let back: StatsReport = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(s, back);
     }

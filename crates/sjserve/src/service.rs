@@ -31,7 +31,7 @@ use sjdf::ExecCtx;
 use sjtrace::{EventKind, RecordedSpan};
 
 use crate::cache::{PlanCacheLayer, PlanKey};
-use crate::metrics::{ServiceMetrics, StatsReport};
+use crate::metrics::{Registry, StatsReport};
 use crate::protocol::{
     codes, AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, PlanInfo, QueryResult,
     Request, Response, SubscriptionAck, TraceSummary, Verb,
@@ -119,7 +119,7 @@ struct ServiceInner {
     config: ServiceConfig,
     plan_cache: PlanCacheLayer,
     result_cache: ResultCache,
-    metrics: ServiceMetrics,
+    metrics: Registry<StatsReport>,
     scheduler: Scheduler,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Monotonic sequence behind server-assigned query ids.
@@ -179,7 +179,7 @@ impl QueryService {
             config: config.clone(),
             plan_cache: PlanCacheLayer::new(),
             result_cache: ResultCache::new(config.result_cache_bytes),
-            metrics: ServiceMetrics::new(),
+            metrics: Registry::new(),
             scheduler,
             workers: Mutex::new(Vec::new()),
             query_seq: AtomicU64::new(0),
@@ -211,7 +211,7 @@ impl QueryService {
     /// used both by the TCP front end and by in-process embedders.
     pub fn handle(&self, request: Request) -> Response {
         let inner = &self.inner;
-        inner.metrics.request_started();
+        inner.metrics.update(|r| r.requests_total += 1);
         let started = Instant::now();
         let mut response = match request.proto_version {
             Some(v) if v != crate::protocol::PROTO_VERSION => Response::fail(
@@ -279,9 +279,11 @@ impl QueryService {
             },
         };
         response.proto_version = Some(crate::protocol::PROTO_VERSION);
-        inner
-            .metrics
-            .request_finished(response.is_ok(), started.elapsed());
+        let ok = response.is_ok();
+        inner.metrics.finished(started.elapsed(), |r| {
+            r.requests_ok += u64::from(ok);
+            r.requests_error += u64::from(!ok);
+        });
         response
     }
 
@@ -295,7 +297,7 @@ impl QueryService {
             return self.handle(request);
         }
         let inner = &self.inner;
-        inner.metrics.request_started();
+        inner.metrics.update(|r| r.requests_total += 1);
         let started = Instant::now();
         let mut response = match request.proto_version {
             Some(v) if v != crate::protocol::PROTO_VERSION => Response::fail(
@@ -311,16 +313,18 @@ impl QueryService {
             _ => self.handle_subscribe(&request, sink),
         };
         response.proto_version = Some(crate::protocol::PROTO_VERSION);
-        inner
-            .metrics
-            .request_finished(response.is_ok(), started.elapsed());
+        let ok = response.is_ok();
+        inner.metrics.finished(started.elapsed(), |r| {
+            r.requests_ok += u64::from(ok);
+            r.requests_error += u64::from(!ok);
+        });
         response
     }
 
     /// Count one request that arrived over the wire (called by the TCP
     /// front end).
     pub fn note_protocol_request(&self) {
-        self.inner.metrics.protocol_request();
+        self.inner.metrics.update(|r| r.requests_binary += 1);
     }
 
     /// Drop every subscription bound to `sink` (its connection ended).
@@ -331,7 +335,9 @@ impl QueryService {
         subs.retain(|b| {
             if Arc::ptr_eq(&b.sink, sink) {
                 if stream.unsubscribe(&b.query_id) {
-                    inner.metrics.subscription_closed();
+                    inner
+                        .metrics
+                        .update(|r| r.stream().subscriptions_closed += 1);
                 }
                 false
             } else {
@@ -396,7 +402,9 @@ impl QueryService {
             request_id: id.clone(),
             sink: Arc::clone(sink),
         });
-        inner.metrics.subscription_opened();
+        inner
+            .metrics
+            .update(|r| r.stream().subscriptions_opened += 1);
         let mut r = Response::ok(id);
         r.query_id = Some(query_id.clone());
         r.subscription = Some(SubscriptionAck {
@@ -479,7 +487,6 @@ impl QueryService {
                     continue;
                 };
                 let code = if f.truncated {
-                    inner.metrics.search_truncated();
                     codes::SEARCH_TRUNCATED
                 } else {
                     codes::NO_SOLUTION
@@ -488,7 +495,10 @@ impl QueryService {
                     Response::fail(&b.request_id, ErrorBody::new(code, f.error.clone()));
                 frame.query_id = Some(f.query_id.clone());
                 frame.proto_version = Some(crate::protocol::PROTO_VERSION);
-                inner.metrics.subscription_failed();
+                inner.metrics.update(|r| {
+                    r.searches_truncated += u64::from(f.truncated);
+                    r.stream().subscriptions_failed += 1;
+                });
                 sends.push((Arc::clone(&b.sink), frame, f.query_id.clone()));
                 dead.push(f.query_id.clone());
             }
@@ -508,7 +518,9 @@ impl QueryService {
                 // Engine-side entries remain only for dead *sinks*;
                 // failed solves were already unregistered.
                 if stream.unsubscribe(qid) {
-                    inner.metrics.subscription_closed();
+                    inner
+                        .metrics
+                        .update(|r| r.stream().subscriptions_closed += 1);
                 }
             }
         }
@@ -589,12 +601,15 @@ impl QueryService {
             query_id: query_id.clone(),
         };
         match inner.scheduler.submit(job) {
-            Ok(depth) => {
-                inner.metrics.admitted(&tenant);
-                inner.metrics.queue_depth_changed(depth);
-            }
+            Ok(depth) => inner.metrics.tenant(&tenant, |r, t| {
+                t.admitted += 1;
+                r.note_queue_depth(depth);
+            }),
             Err(AdmissionError::QueueFull { depth, capacity }) => {
-                inner.metrics.rejected_full(&tenant);
+                inner.metrics.tenant(&tenant, |r, t| {
+                    t.rejected += 1;
+                    r.rejected_queue_full += 1;
+                });
                 let mut r = Response::fail(
                     &id,
                     ErrorBody::new(
@@ -616,12 +631,14 @@ impl QueryService {
         }
         match slot.wait_until(deadline) {
             Some(response) => {
-                inner.metrics.completed(&tenant);
+                inner.metrics.tenant(&tenant, |_, t| t.completed += 1);
                 response
             }
             None => {
-                inner.metrics.timed_out();
-                inner.metrics.completed(&tenant);
+                inner.metrics.tenant(&tenant, |r, t| {
+                    r.timeouts += 1;
+                    t.completed += 1;
+                });
                 let mut r = Response::fail(
                     &id,
                     ErrorBody::new(
@@ -635,25 +652,56 @@ impl QueryService {
         }
     }
 
-    /// Current service metrics, including both cache levels.
+    /// Current service metrics, including every cache level and the
+    /// streaming section.
     pub fn stats_report(&self) -> StatsReport {
         let inner = &self.inner;
+        // Read everything kept outside the registry first: its lock is a
+        // leaf.
+        let uptime = inner.metrics.uptime();
+        let (plan, result) = (inner.plan_cache.stats(), inner.result_cache.stats());
         let stage = inner.ctx.stage_cache().stats();
-        inner.metrics.queue_depth_changed(inner.scheduler.depth());
-        let streaming = {
+        let depth = inner.scheduler.depth();
+        let (counters, active) = {
             let stream = inner.stream.lock();
-            inner.metrics.stream_report(
-                &stream.counters(),
-                stream.subscriptions().len() as u64,
-                stage.invalidations,
-            )
+            (stream.counters(), stream.subscriptions().len() as u64)
         };
-        let mut report =
-            inner
-                .metrics
-                .snapshot(inner.plan_cache.stats(), inner.result_cache.stats(), stage);
-        report.streaming = Some(streaming);
-        report
+        inner.metrics.snapshot(|r, latency, tenants| {
+            r.uptime_ms = uptime.as_millis() as u64;
+            r.note_queue_depth(depth);
+            r.latency_count = latency.count();
+            r.latency_ms_p50 = latency.quantile_ms(0.50);
+            r.latency_ms_p90 = latency.quantile_ms(0.90);
+            r.latency_ms_p99 = latency.quantile_ms(0.99);
+            r.latency_ms_max = latency.max_ms();
+            r.plan_cache_entries = plan.entries;
+            r.plan_cache_hits = plan.hits;
+            r.plan_cache_misses = plan.misses;
+            r.plan_cache_bytes = plan.bytes;
+            r.plan_cache_evictions = plan.evictions;
+            r.result_cache_entries = result.entries;
+            r.result_cache_bytes = result.bytes;
+            r.result_cache_hits = result.hits;
+            r.result_cache_misses = result.misses;
+            r.result_cache_evictions = result.evictions;
+            r.stage_cache_entries = stage.entries;
+            r.stage_cache_bytes = stage.bytes;
+            r.stage_cache_hits = stage.hits;
+            r.stage_cache_misses = stage.misses;
+            r.stage_cache_evictions = stage.evictions;
+            r.per_tenant = tenants;
+            let s = r.stream();
+            s.appends = counters.appends;
+            s.rows_accepted = counters.rows_accepted;
+            s.rows_late_dropped = counters.rows_late_dropped;
+            s.rows_duplicate_dropped = counters.rows_duplicate_dropped;
+            s.subscriptions_active = active;
+            s.window_emissions = counters.window_emissions;
+            s.window_re_emissions = counters.window_re_emissions;
+            s.incremental_recomputes = counters.incremental_recomputes;
+            s.degraded_windows = counters.degraded_windows;
+            s.cache_invalidations = stage.invalidations;
+        })
     }
 
     /// Dataset names served by this session's catalog.
@@ -724,12 +772,15 @@ fn exec_error(
     message: &str,
 ) -> Response {
     let delta = inner.ctx.metrics.report().delta_since(baseline);
-    inner.metrics.engine_failures(&delta.failures);
     // The stable marker in `SjdfError::ExhaustedRetries`'s Display; the
     // error crosses the sjcore boundary as a string, so classification
     // happens on the rendered message.
-    if message.contains("exhausted retry budget") {
-        inner.metrics.degraded();
+    let degraded = message.contains("exhausted retry budget");
+    inner.metrics.update(|r| {
+        r.note_failures(&delta.failures);
+        r.requests_degraded += u64::from(degraded);
+    });
+    if degraded {
         if inner.ctx.tracer().enabled() {
             let brief: String = message.chars().take(120).collect();
             inner.ctx.tracer().instant("degraded", brief);
@@ -741,23 +792,23 @@ fn exec_error(
 
 fn worker_loop(inner: &ServiceInner) {
     while let Some((job, depth)) = inner.scheduler.next_job() {
-        inner.metrics.queue_depth_changed(depth);
+        inner.metrics.update(|r| r.note_queue_depth(depth));
         if job.slot.is_cancelled() {
             // The client's deadline passed while the job sat in the
             // queue; it was already answered with a timeout.
             continue;
         }
         if Instant::now() >= job.deadline {
-            inner.metrics.timed_out();
+            inner.metrics.update(|r| r.timeouts += 1);
             job.slot.fulfill(Response::fail(
                 &job.request.id,
                 ErrorBody::new(codes::TIMEOUT, "deadline elapsed while queued"),
             ));
             continue;
         }
-        inner.metrics.exec_started();
+        inner.metrics.update(|r| r.in_flight += 1);
         let response = execute(inner, &job);
-        inner.metrics.exec_finished();
+        inner.metrics.update(|r| r.in_flight -= 1);
         job.slot.fulfill(response);
     }
 }
@@ -839,9 +890,8 @@ fn execute(inner: &ServiceInner, job: &Job) -> Response {
 
     let events = tracer.take_root(root_id);
     tracer.prune_before(tracer.now_us().saturating_sub(TRACE_RETENTION_US));
-    inner
-        .metrics
-        .trace_finished(events.len() as u64, tracer.dropped());
+    let (spans, dropped) = (events.len() as u64, tracer.dropped());
+    inner.metrics.update(|r| r.note_trace(spans, dropped));
 
     let mut chrome_json: Option<String> = None;
     let thread_names = tracer.thread_names();
@@ -964,7 +1014,14 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
                 },
             );
             let solved = engine.solve(&canonical);
-            inner.metrics.planner_effort(&engine.stats());
+            // The per-request engine starts from zeroed stats, so its
+            // reading is exactly this solve's effort.
+            let effort = engine.stats();
+            inner.metrics.update(|r| {
+                r.planner_pair_tests += effort.pair_tests;
+                r.planner_memo_hits += effort.memo_hits;
+                r.planner_datasets_considered += effort.datasets_considered as u64;
+            });
             match solved {
                 Ok(plan) => (inner.plan_cache.insert(key, plan), false),
                 Err(SjError::NoSolution(msg)) => {
@@ -973,7 +1030,7 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
                 }
                 Err(e @ SjError::SearchTruncated { .. }) => {
                     solve_span.fail();
-                    inner.metrics.search_truncated();
+                    inner.metrics.update(|r| r.searches_truncated += 1);
                     return Response::fail(
                         id,
                         ErrorBody::new(codes::SEARCH_TRUNCATED, e.to_string()),
@@ -1033,7 +1090,7 @@ fn execute_query(inner: &ServiceInner, job: &Job) -> Response {
             // Concurrent evaluations may interleave (the collector is
             // shared), so this is an attribution, not an isolation.
             let delta = inner.ctx.metrics.report().delta_since(&baseline);
-            inner.metrics.engine_failures(&delta.failures);
+            inner.metrics.update(|r| r.note_failures(&delta.failures));
             (entry, false, Some(delta))
         }
     };

@@ -306,4 +306,17 @@ fn degraded_queries_bypass_the_result_cache_and_the_daemon_survives() {
         stats.result_cache_entries, 1,
         "the healthy result should be the only cached entry"
     );
+    // The shared context's stage cache is reported as it stands.
+    let stage = ctx.stage_cache().stats();
+    assert_eq!(
+        (stats.stage_cache_entries, stats.stage_cache_bytes),
+        (stage.entries, stage.bytes)
+    );
+    assert_eq!(
+        (stats.stage_cache_hits, stats.stage_cache_misses),
+        (stage.hits, stage.misses)
+    );
+    assert_eq!(stats.stage_cache_evictions, stage.evictions);
+    let streaming = stats.streaming.expect("worker stats carry streaming");
+    assert_eq!(streaming.cache_invalidations, stage.invalidations);
 }

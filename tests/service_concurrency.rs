@@ -11,6 +11,8 @@ use sjserve::protocol::codes;
 use sjserve::scheduler::SchedulerConfig;
 use sjserve::{serve, Client, ClientError, QueryService, QuerySpec, ServiceConfig, ValueSpec};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn small_cfg() -> Dat1Config {
@@ -121,6 +123,16 @@ fn eight_concurrent_clients_mixed_hot_and_cold() {
     assert!(stats.latency_ms_p50 > 0.0);
     assert!(stats.latency_ms_p99 >= stats.latency_ms_p50);
     assert!(stats.plan_cache_entries >= 1);
+    assert!(stats.planner_pair_tests > 0 && stats.planner_datasets_considered > 0);
+    assert!(stats.queue_depth_peak >= 1);
+    assert!(stats.streaming.is_some(), "worker stats carry streaming");
+    assert_eq!(stats.per_tenant.len(), clients, "{:?}", stats.per_tenant);
+    for t in &stats.per_tenant {
+        assert_eq!(
+            (t.admitted, t.completed),
+            (queries_each as u64, queries_each as u64)
+        );
+    }
 
     let final_stats = handle.stop();
     assert_eq!(final_stats.in_flight, 0);
@@ -319,4 +331,58 @@ fn health_explain_and_shutdown_over_tcp() {
     client.shutdown().unwrap();
     let report = handle.wait();
     assert!(report.requests_total >= 3);
+}
+
+/// Every `stats` snapshot is internally consistent while requests are in
+/// flight: a request counts as finished together with its latency
+/// sample, so `latency_count == requests_ok + requests_error` always, and
+/// no request finishes before it started.
+#[test]
+fn stats_snapshots_stay_consistent_under_load() {
+    const SNAPSHOTS: usize = 20_000;
+    let service = start_service(SchedulerConfig::default());
+    let stop = Arc::new(AtomicBool::new(false));
+    let senders: Vec<_> = (0..4)
+        .map(|i| {
+            let (service, stop) = (service.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                // Inline `health` (ok) and queued payload-less `query`
+                // (error) requests, so both outcome counters move.
+                let verb = if i % 2 == 0 {
+                    sjserve::Verb::Health
+                } else {
+                    sjserve::Verb::Query
+                };
+                let mut sent = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    service.handle(sjserve::Request::bare(&format!("s{i}"), verb));
+                    sent += 1;
+                }
+                sent
+            })
+        })
+        .collect();
+    // Poll only once the senders are running.
+    while service.stats_report().requests_total < 1_000 {
+        std::thread::yield_now();
+    }
+    let mut torn = 0usize;
+    let mut first_torn = None;
+    for _ in 0..SNAPSHOTS {
+        let s = service.stats_report();
+        let finished = s.requests_ok + s.requests_error;
+        if s.latency_count != finished || finished > s.requests_total {
+            torn += 1;
+            first_torn.get_or_insert((s.latency_count, s.requests_ok, s.requests_error));
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    let sent: u64 = senders.into_iter().map(|t| t.join().unwrap()).sum();
+    let last = service.shutdown();
+    assert!(last.requests_ok > 0 && last.requests_error > 0, "{last:?}");
+    assert_eq!(
+        torn, 0,
+        "{torn} of {SNAPSHOTS} snapshots torn over {sent} requests; \
+         first (latency_count, ok, error) = {first_torn:?}"
+    );
 }

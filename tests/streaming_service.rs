@@ -118,6 +118,7 @@ fn subscribe_append_emit_over_tcp() {
 
     let streaming = wait_for_streaming(&mut appender, |s| s.subscriptions_active == 1);
     assert_eq!(streaming.appends as usize, nbatches);
+    assert_eq!(streaming.rows_accepted as usize, total_accepted);
     // `windows_emitted` on the ack counts every pushed frame; the
     // engine splits first emissions from late-data re-emissions.
     assert_eq!(

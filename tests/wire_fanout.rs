@@ -186,6 +186,8 @@ fn routed_frames(kind: Disarray, check_stats: bool) -> Vec<String> {
         // one copy.
         assert_eq!(stats.stream_worker_frames as usize, 2 * n);
         assert_eq!(stats.stream_worker_losses, 0);
+        let re_emissions = frames.iter().filter(|f| f.contains("|re=true|")).count();
+        assert_eq!(stats.stream_re_emissions as usize, re_emissions);
         assert!(stats.stream_appends_forwarded > 0);
         assert!(stats.requests_binary > 0, "binary is the default transport");
     }
