@@ -363,6 +363,19 @@ impl Column {
         }
     }
 
+    /// String view of the cell at `row`, matching [`Value::as_str`].
+    #[inline]
+    pub fn str_at(&self, row: usize) -> Option<&str> {
+        if !self.validity.get(row) {
+            return None;
+        }
+        match &self.data {
+            ColumnData::Str { codes, dict } => Some(&dict[codes[row] as usize]),
+            ColumnData::Mixed(v) => v[row].as_str(),
+            _ => None,
+        }
+    }
+
     /// Exact-match key of the cell at `row`, matching [`Value::key`].
     pub fn key_at(&self, row: usize) -> KeyAtom {
         if !self.validity.get(row) {
@@ -897,6 +910,7 @@ mod tests {
                     batch.column(c).time_micros_at(r),
                     v.as_time().map(|t| t.as_micros())
                 );
+                assert_eq!(batch.column(c).str_at(r), v.as_str());
                 assert_eq!(batch.column(c).key_at(r), v.key());
             }
         }

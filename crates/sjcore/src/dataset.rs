@@ -14,9 +14,13 @@
 //!   lineage-build time and fused into a single per-partition pass when
 //!   the data is finally needed.
 //!
-//! Either way the logical contents are rows; [`SjDataset::rdd`] always
-//! yields the row view, so representation-agnostic consumers (natural
-//! join, custom derivations, CSV export) work unchanged.
+//! Either way the logical contents are rows. On the columnar path every
+//! derivation reads [`SjDataset::batch_rdd`]: the narrow ones queue
+//! fused kernels, and the wide ones (derive-rate, derive-heat, the
+//! natural and interpolation joins) shuffle typed sub-batches.
+//! [`SjDataset::rdd`] yields the row view for the rowwise reference
+//! kernels and for the few consumers outside the derivation plans
+//! (`head` and the `interop` helpers).
 
 use crate::column::ColumnarPartition;
 use crate::error::Result;

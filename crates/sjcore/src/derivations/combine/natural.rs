@@ -1,12 +1,23 @@
 //! Natural join: exact match on all shared domain dimensions.
+//!
+//! Two kernels share one contract. The **columnar** kernel (default)
+//! scatters both sides on their key columns to the same partition count
+//! as whole typed sub-batches, indexes each right partition by encoded
+//! key, probes the left rows in order, and builds the output with one
+//! left `gather` plus one right `gather` per kept column. The
+//! **rowwise** kernel, a keyed `join` of boxed rows, is the reference
+//! the columnar one is checked against.
 
+use crate::column::ColumnarPartition;
 use crate::dataset::SjDataset;
 use crate::derivations::combine::common::{merge_schemas, SharedDomains};
+use crate::derivations::keyed::{scatter_by_key, KeyGroups, RowKeys};
 use crate::derivations::{not_applicable, Combination, DerivationSpec};
 use crate::error::Result;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::semantics::SemanticDictionary;
+use sjdf::Rdd;
 
 /// Combine two datasets by matching every shared domain dimension exactly.
 ///
@@ -79,23 +90,20 @@ impl Combination for NaturalJoin {
         let keys = NaturalJoin::key_columns(&shared);
         let left_key: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
         let right_key: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
-        let parts = left
-            .rdd()
-            .num_partitions()
-            .max(right.rdd().num_partitions())
-            .max(1);
+        let parts = left.num_partitions().max(right.num_partitions()).max(1);
+        let name = format!("natural_join({}, {})", left.name(), right.name());
+        if left.is_columnar() && right.is_columnar() {
+            let rdd = join_columnar(left, right, left_key, right_key, kept_right, parts)?;
+            return Ok(SjDataset::from_batches(rdd, out_schema, name));
+        }
 
-        let lk = left.rdd().map_partitions_named("key_left", {
-            let left_key = left_key.clone();
-            move |rows| rows.into_iter().map(|r| (r.key_of(&left_key), r)).collect()
+        let lk = left.rdd().map_partitions_named("key_left", move |rows| {
+            rows.into_iter().map(|r| (r.key_of(&left_key), r)).collect()
         });
-        let rk = right.rdd().map_partitions_named("key_right", {
-            let right_key = right_key.clone();
-            move |rows| {
-                rows.into_iter()
-                    .map(|r| (r.key_of(&right_key), r))
-                    .collect()
-            }
+        let rk = right.rdd().map_partitions_named("key_right", move |rows| {
+            rows.into_iter()
+                .map(|r| (r.key_of(&right_key), r))
+                .collect()
         });
         let joined = lk.join(&rk, parts);
         let rdd = joined.map_partitions_named("natural_join", move |pairs| {
@@ -110,16 +118,65 @@ impl Combination for NaturalJoin {
                 })
                 .collect()
         });
-        Ok(SjDataset::new(
-            rdd,
-            out_schema,
-            format!("natural_join({}, {})", left.name(), right.name()),
-        ))
+        Ok(SjDataset::new(rdd, out_schema, name))
     }
 
     fn spec(&self) -> DerivationSpec {
         DerivationSpec::NaturalJoin
     }
+}
+
+/// The columnar kernel (see the module docs). Keys are the encoded key
+/// cells, so a null key cell matches a null key cell, as `KeyAtom::Null`
+/// does on the rowwise path.
+fn join_columnar(
+    left: &SjDataset,
+    right: &SjDataset,
+    left_key: Vec<usize>,
+    right_key: Vec<usize>,
+    kept_right: Vec<usize>,
+    parts: usize,
+) -> Result<Rdd<ColumnarPartition>> {
+    let every_row = |_: &ColumnarPartition, _: usize| true;
+    let lhs = scatter_by_key(
+        &left.batch_rdd(),
+        "join_scatter_left",
+        left_key.clone(),
+        parts,
+        every_row,
+    );
+    let rhs = scatter_by_key(
+        &right.batch_rdd(),
+        "join_scatter_right",
+        right_key.clone(),
+        parts,
+        every_row,
+    );
+    let rdd = lhs.zip_partitions(&rhs, "natural_join", move |_, lbs, rbs| {
+        let l = ColumnarPartition::concat_owned(lbs);
+        let r = ColumnarPartition::concat_owned(rbs);
+        if l.is_empty() || r.is_empty() {
+            return Vec::new();
+        }
+        let rkeys = RowKeys::encode(&r, &right_key);
+        let index = KeyGroups::new(&rkeys);
+        let lkeys = RowKeys::encode(&l, &left_key);
+        let (mut li, mut ri): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for row in 0..l.len() {
+            for &m in index.get(lkeys.get(row)).unwrap_or_default() {
+                li.push(row as u32);
+                ri.push(m);
+            }
+        }
+        let columns = l
+            .columns()
+            .iter()
+            .map(|c| c.gather(&li))
+            .chain(kept_right.iter().map(|&c| r.column(c).gather(&ri)))
+            .collect();
+        vec![ColumnarPartition::from_columns(columns)]
+    })?;
+    Ok(rdd)
 }
 
 #[cfg(test)]

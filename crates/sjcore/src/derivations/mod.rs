@@ -20,6 +20,7 @@
 //! [`DerivationSpec`] so derivation sequences are reproducible (§5.4).
 
 pub mod combine;
+mod keyed;
 pub mod transform;
 
 use crate::dataset::SjDataset;

@@ -3,14 +3,24 @@
 //! These are the reusable expert-contributed derivations from the paper's
 //! case studies: the rack heat function (§7.2), the active-CPU-frequency
 //! function (§7.3), and the generic ratio derivation both are built on.
+//!
+//! On the columnar path the two ratio rules are fused
+//! [`ColKernel`]s and the heat rule is a batch-native keyed kernel
+//! (scatter, group, gather). Their row-at-a-time code runs only in
+//! rowwise mode, as the reference the column kernels are checked
+//! against.
 
+use crate::column::{ColumnarPartition, FloatBuilder};
 use crate::dataset::SjDataset;
+use crate::derivations::keyed::{scatter_by_key, KeyGroups, RowKeys};
 use crate::derivations::{not_applicable, DerivationSpec, Transformation};
 use crate::error::Result;
+use crate::fuse::ColKernel;
 use crate::row::Row;
 use crate::schema::{FieldDef, Schema};
 use crate::semantics::{FieldSemantics, SemanticDictionary};
 use crate::value::Value;
+use sjdf::Rdd;
 
 // ---------------------------------------------------------------------------
 // DeriveRatio
@@ -58,6 +68,11 @@ impl Transformation for DeriveRatio {
         let num = ds.schema().index_of(&self.numerator)?;
         let den = ds.schema().index_of(&self.denominator)?;
         let scale = self.scale;
+        let name = format!("derive_ratio({})", ds.name());
+        if ds.is_columnar() {
+            let kernel = ColKernel::Ratio { num, den, scale };
+            return Ok(ds.with_kernel(kernel, out_schema, name));
+        }
         let rdd = ds.rdd().map_partitions_named("derive_ratio", move |rows| {
             rows.into_iter()
                 .map(|row| {
@@ -69,11 +84,7 @@ impl Transformation for DeriveRatio {
                 })
                 .collect()
         });
-        Ok(SjDataset::new(
-            rdd,
-            out_schema,
-            format!("derive_ratio({})", ds.name()),
-        ))
+        Ok(SjDataset::new(rdd, out_schema, name))
     }
 
     fn spec(&self) -> DerivationSpec {
@@ -156,7 +167,12 @@ impl Transformation for DeriveHeat {
     fn apply(&self, ds: &SjDataset, dict: &SemanticDictionary) -> Result<SjDataset> {
         let out_schema = self.derive_schema(ds.schema(), dict)?;
         let ix = self.analyze(ds.schema())?;
-        let parts = ds.rdd().num_partitions().max(1);
+        let parts = ds.num_partitions().max(1);
+        let name = format!("derive_heat({})", ds.name());
+        if ds.is_columnar() {
+            let rdd = derive_heat_columnar(ds, ix, parts);
+            return Ok(SjDataset::from_batches(rdd, out_schema, name));
+        }
         let (rack, location, aisle, time, temp) =
             (ix.rack, ix.location, ix.aisle, ix.time, ix.temp);
         let keyed = ds.rdd().map_partitions_named("key_by_sensor", move |rows| {
@@ -189,16 +205,67 @@ impl Transformation for DeriveHeat {
                 }
                 out
             });
-        Ok(SjDataset::new(
-            rdd,
-            out_schema,
-            format!("derive_heat({})", ds.name()),
-        ))
+        Ok(SjDataset::new(rdd, out_schema, name))
     }
 
     fn spec(&self) -> DerivationSpec {
         DerivationSpec::DeriveHeat
     }
+}
+
+/// The columnar heat kernel: scatter on (rack, location, time), group
+/// each destination's rows by key in arrival order, and keep per group
+/// the last hot and the last cold temperature — a later null or
+/// non-numeric reading overrides an earlier one, as in the rowwise loop.
+/// The output is the group's first row's key cells (one `gather` per key
+/// column) plus one Float heat column.
+fn derive_heat_columnar(ds: &SjDataset, ix: HeatIndices, parts: usize) -> Rdd<ColumnarPartition> {
+    let HeatIndices {
+        rack,
+        location,
+        aisle,
+        time,
+        temp,
+    } = ix;
+    let key = vec![rack, location, time];
+    scatter_by_key(
+        &ds.batch_rdd(),
+        "heat_scatter",
+        key.clone(),
+        parts,
+        |_, _| true,
+    )
+    .map_partitions_named("derive_heat", move |bs| {
+        let batch = ColumnarPartition::concat_owned(bs);
+        if batch.is_empty() {
+            return Vec::new();
+        }
+        let keys = RowKeys::encode(&batch, &key);
+        let (aisles, temps) = (batch.column(aisle), batch.column(temp));
+        let mut first: Vec<u32> = Vec::new();
+        let mut heat = FloatBuilder::default();
+        for rows in KeyGroups::new(&keys).iter() {
+            let (mut hot, mut cold) = (None, None);
+            for &r in rows {
+                let r = r as usize;
+                match aisles.str_at(r) {
+                    Some("hot") => hot = temps.f64_at(r),
+                    Some("cold") => cold = temps.f64_at(r),
+                    _ => {}
+                }
+            }
+            if let (Some(h), Some(c)) = (hot, cold) {
+                first.push(rows[0]);
+                heat.push(Some(h - c));
+            }
+        }
+        let columns = key
+            .iter()
+            .map(|&c| batch.column(c).gather(&first))
+            .chain([heat.finish()])
+            .collect();
+        vec![ColumnarPartition::from_columns(columns)]
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -264,6 +331,11 @@ impl Transformation for DeriveActiveFrequency {
     fn apply(&self, ds: &SjDataset, dict: &SemanticDictionary) -> Result<SjDataset> {
         let out_schema = self.derive_schema(ds.schema(), dict)?;
         let (aperf, mperf, base) = self.analyze(ds.schema())?;
+        let name = format!("derive_active_frequency({})", ds.name());
+        if ds.is_columnar() {
+            let kernel = ColKernel::ActiveFrequency { aperf, mperf, base };
+            return Ok(ds.with_kernel(kernel, out_schema, name));
+        }
         let rdd = ds
             .rdd()
             .map_partitions_named("derive_active_frequency", move |rows| {
@@ -281,11 +353,7 @@ impl Transformation for DeriveActiveFrequency {
                     })
                     .collect()
             });
-        Ok(SjDataset::new(
-            rdd,
-            out_schema,
-            format!("derive_active_frequency({})", ds.name()),
-        ))
+        Ok(SjDataset::new(rdd, out_schema, name))
     }
 
     fn spec(&self) -> DerivationSpec {

@@ -11,7 +11,7 @@
 //!
 //! * the **columnar** kernel (default): batches are filtered, routed with
 //!   [`sjdf`'s `exchange`](sjdf::rdd::Rdd::exchange) shuffle as whole
-//!   typed sub-batches, grouped by arena-encoded entity keys, and the
+//!   typed sub-batches, grouped by byte-encoded entity keys, and the
 //!   output is built column-at-a-time — no `Row` is materialized anywhere;
 //! * the **rowwise** kernel, kept as the reference baseline when the
 //!   context runs in rowwise mode.
@@ -26,6 +26,7 @@
 
 use crate::column::{ColumnarPartition, FloatBuilder};
 use crate::dataset::SjDataset;
+use crate::derivations::keyed::{scatter_by_key, KeyGroups, RowKeys};
 use crate::derivations::{not_applicable, DerivationSpec, Transformation};
 use crate::error::Result;
 use crate::schema::{FieldDef, Schema};
@@ -33,7 +34,6 @@ use crate::semantics::{FieldSemantics, SemanticDictionary};
 use crate::units::time::MICROS_PER_SEC;
 use crate::units::UnitKind;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// Replace every cumulative-counter column with its windowed rate of
 /// change, expressed per `per_secs` seconds (0.001 = per millisecond).
@@ -100,15 +100,15 @@ impl DeriveRate {
     }
 
     /// The columnar kernel. Three stages, all batch-native:
-    /// 1. `rate_scatter` — drop rows without a usable timestamp, bucket
-    ///    the rest by entity-key hash, and gather one typed sub-batch per
-    ///    destination;
+    /// 1. `rate_scatter` ([`scatter_by_key`]) — drop rows without a
+    ///    usable timestamp, bucket the rest by entity-key hash, and gather
+    ///    one typed sub-batch per destination;
     /// 2. `exchange` — deliver sub-batches whole (they never decay to
     ///    rows in flight);
-    /// 3. `derive_rate` — group by arena-encoded entity key, stable-sort
-    ///    each group's row indices by time, and emit rate windows through
-    ///    per-counter `FloatBuilder`s plus one `gather` for the
-    ///    pass-through columns.
+    /// 3. `derive_rate` — group by encoded entity key ([`KeyGroups`]),
+    ///    stable-sort each group's row indices by time, and emit rate
+    ///    windows through per-counter `FloatBuilder`s plus one `gather`
+    ///    for the pass-through columns.
     fn apply_columnar(
         &self,
         ds: &SjDataset,
@@ -123,69 +123,21 @@ impl DeriveRate {
             groups: group_idx,
         } = cols;
         let parts = ds.num_partitions().max(1);
-        let ctx = ds.ctx().clone();
-        let gi = group_idx.clone();
-        let scattered = ds
-            .batch_rdd()
-            .map_partitions_named("rate_scatter", move |bs| {
-                let batch = ColumnarPartition::concat_owned(bs);
-                if batch.is_empty() {
-                    return Vec::new();
-                }
-                let tcol = batch.column(time_idx);
-                let mut dest_rows: Vec<Vec<u32>> = (0..parts).map(|_| Vec::new()).collect();
-                let mut keybuf: Vec<u8> = Vec::with_capacity(64);
-                for r in 0..batch.len() {
-                    if tcol.time_micros_at(r).is_none() {
-                        continue;
-                    }
-                    keybuf.clear();
-                    for &c in &gi {
-                        batch.column(c).encode_key_at(r, &mut keybuf);
-                    }
-                    let dest = (sjdf::ops::hash64(&keybuf[..]) % parts as u64) as usize;
-                    dest_rows[dest].push(r as u32);
-                }
-                dest_rows
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, rows)| !rows.is_empty())
-                    .map(|(dest, rows)| (dest, batch.gather(&rows)))
-                    .collect()
-            })
-            .exchange(parts);
+        let scattered = scatter_by_key(
+            &ds.batch_rdd(),
+            "rate_scatter",
+            group_idx.clone(),
+            parts,
+            move |batch, r| batch.column(time_idx).time_micros_at(r).is_some(),
+        );
         let rdd = scattered.map_partitions_named("derive_rate", move |bs| {
             let batch = ColumnarPartition::concat_owned(bs);
             let n = batch.len();
             if n == 0 {
                 return Vec::new();
             }
-            // Group rows by entity key. Keys are encoded once into a
-            // pooled bump arena — no per-row `KeyAtom` vectors or `Arc`
-            // clone traffic.
-            let arena = ctx.arena();
-            let mut keybuf: Vec<u8> = Vec::with_capacity(64);
-            let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-            let mut groups: Vec<(sjdf::BumpRange, Vec<u32>)> = Vec::new();
-            for r in 0..n {
-                keybuf.clear();
-                for &c in &group_idx {
-                    batch.column(c).encode_key_at(r, &mut keybuf);
-                }
-                let h = sjdf::ops::hash64(&keybuf[..]);
-                let slot = index.entry(h).or_default();
-                match slot
-                    .iter()
-                    .copied()
-                    .find(|&g| arena.with(groups[g].0, |s| s == &keybuf[..]))
-                {
-                    Some(g) => groups[g].1.push(r as u32),
-                    None => {
-                        slot.push(groups.len());
-                        groups.push((arena.alloc(&keybuf), vec![r as u32]));
-                    }
-                }
-            }
+            let keys = RowKeys::encode(&batch, &group_idx);
+            let mut groups = KeyGroups::new(&keys);
             let tcol = batch.column(time_idx);
             let mut emit: Vec<u32> = Vec::new();
             let mut builders: Vec<FloatBuilder> = counter_idx
@@ -193,7 +145,7 @@ impl DeriveRate {
                 .map(|_| FloatBuilder::with_capacity(n))
                 .collect();
             let mut rates: Vec<Option<f64>> = vec![None; counter_idx.len()];
-            for (_, rows) in groups.iter_mut() {
+            for rows in groups.iter_mut() {
                 // Scatter already removed null-time rows, so every index
                 // sorts on a real timestamp.
                 rows.sort_by_key(|&r| tcol.time_micros_at(r as usize));

@@ -173,7 +173,7 @@ impl Plan {
         let ctx = catalog
             .datasets()
             .next()
-            .map(|(_, d)| d.rdd().ctx().clone())
+            .map(|(_, d)| d.ctx().clone())
             .unwrap_or_default();
         let parts = ctx.cluster.default_partitions().min(rows.len().max(1));
         Some(SjDataset::from_rows(

@@ -1,13 +1,14 @@
 //! Fused narrow kernels over columnar partitions.
 //!
-//! Narrow transformations (unit conversion, the two explodes) are cheap
-//! per record but expensive as separate lineage stages: each rowwise stage
-//! re-clones every `Row` it touches. On the columnar path they are instead
-//! recorded as [`ColKernel`]s on the dataset at lineage-build time and
-//! materialized lazily as **one** per-partition pass
-//! ([`apply_kernels`]) when a wide operation or action finally needs the
-//! data — a chain of `convert → explode → convert` costs a single task and
-//! zero intermediate row materializations.
+//! Narrow transformations (unit conversion, the two explodes, the two
+//! ratio rules) are cheap per record but expensive as separate lineage
+//! stages: each rowwise stage re-clones every `Row` it touches. On the
+//! columnar path they are instead recorded as [`ColKernel`]s on the
+//! dataset at lineage-build time and materialized lazily as **one**
+//! per-partition pass ([`apply_kernels`]) when a wide operation or
+//! action finally needs the data — a chain of `convert → explode →
+//! convert` costs a single task and zero intermediate row
+//! materializations.
 //!
 //! Every kernel reproduces its rowwise counterpart exactly (same formulas,
 //! same null handling, same row order), which the columnar-identity sweep
@@ -44,6 +45,28 @@ pub enum ColKernel {
         /// Step between instants, in seconds.
         step_secs: f64,
     },
+    /// Append `scale × numerator / denominator` as a Float column, null
+    /// unless both operands are numeric and the denominator is nonzero
+    /// (see [`crate::derivations::transform::DeriveRatio`]).
+    Ratio {
+        /// Numerator column index.
+        num: usize,
+        /// Denominator column index.
+        den: usize,
+        /// Constant multiplier.
+        scale: f64,
+    },
+    /// Append `base × aperf / mperf` as a Float column, null unless all
+    /// three are numeric and `mperf > 0` (see
+    /// [`crate::derivations::transform::DeriveActiveFrequency`]).
+    ActiveFrequency {
+        /// APERF rate column index.
+        aperf: usize,
+        /// MPERF rate column index.
+        mperf: usize,
+        /// Base-frequency column index.
+        base: usize,
+    },
 }
 
 impl ColKernel {
@@ -53,6 +76,8 @@ impl ColKernel {
             ColKernel::Convert { .. } => "convert_units",
             ColKernel::ExplodeDiscrete { .. } => "explode_discrete",
             ColKernel::ExplodeContinuous { .. } => "explode_continuous",
+            ColKernel::Ratio { .. } => "derive_ratio",
+            ColKernel::ActiveFrequency { .. } => "derive_active_frequency",
         }
     }
 
@@ -70,8 +95,40 @@ impl ColKernel {
             ColKernel::ExplodeContinuous { idx, step_secs } => {
                 explode_continuous(batch, *idx, *step_secs)
             }
+            // Both ratios keep the rowwise operand order,
+            // `(factor × numerator) / denominator`, so the bits match.
+            ColKernel::Ratio { num, den, scale } => {
+                let (n, d) = (batch.column(*num), batch.column(*den));
+                append_float(batch, |r| match (n.f64_at(r), d.f64_at(r)) {
+                    (Some(n), Some(d)) if d != 0.0 => Some(scale * n / d),
+                    _ => None,
+                })
+            }
+            ColKernel::ActiveFrequency { aperf, mperf, base } => {
+                let (a, m, b) = (
+                    batch.column(*aperf),
+                    batch.column(*mperf),
+                    batch.column(*base),
+                );
+                append_float(batch, |r| match (a.f64_at(r), m.f64_at(r), b.f64_at(r)) {
+                    (Some(a), Some(m), Some(b)) if m > 0.0 => Some(b * a / m),
+                    _ => None,
+                })
+            }
         }
     }
+}
+
+/// Append one Float column whose cell at row `r` is `cell(r)`.
+fn append_float(
+    batch: &ColumnarPartition,
+    cell: impl Fn(usize) -> Option<f64>,
+) -> ColumnarPartition {
+    let mut out = FloatBuilder::with_capacity(batch.len());
+    for r in 0..batch.len() {
+        out.push(cell(r));
+    }
+    batch.append_column(out.finish())
 }
 
 /// Run a chain of kernels over one partition in a single pass.

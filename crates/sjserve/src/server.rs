@@ -212,6 +212,18 @@ fn accept_loop<H: RequestHandler>(
 /// the peer has read *nothing* for the whole interval.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Socket options for an accepted connection: the write-stall timeout
+/// (see [`WRITE_STALL_TIMEOUT`]) and `TCP_NODELAY`. Without
+/// `TCP_NODELAY`, Nagle's algorithm holds a small write while an
+/// earlier one is unacknowledged. A subscriber only reads, so its
+/// kernel delays those ACKs (at least 40 ms on Linux), and a pushed
+/// window frame would wait that long. Every write here is one whole
+/// frame, so nothing wants Nagle's coalescing.
+fn configure_accepted(stream: &TcpStream) {
+    let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
+    let _ = stream.set_nodelay(true);
+}
+
 /// The one line a peer that does not open with [`sjwire::MAGIC`] gets
 /// before the connection closes.
 const NOT_SJWIRE: &str = "error: this port speaks sjwire binary frames only (first byte 0x53); \
@@ -259,7 +271,7 @@ fn handle_connection<H: RequestHandler>(
     service: H,
     shutdown: Arc<AtomicBool>,
 ) {
-    let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
+    configure_accepted(&stream);
     // Check byte one without consuming it, so a JSON or text client
     // gets a readable refusal instead of a frame it cannot parse.
     let mut first = [0u8; 1];
@@ -415,5 +427,16 @@ mod tests {
             assert!(!may_shutdown(Some(ip.parse().unwrap())), "{ip}");
         }
         assert!(!may_shutdown(None), "a peer whose address is unknown");
+    }
+
+    #[test]
+    fn accepted_sockets_send_at_once_and_bound_write_stalls() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "Nagle is on by default");
+        configure_accepted(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.write_timeout().unwrap(), Some(WRITE_STALL_TIMEOUT));
     }
 }
