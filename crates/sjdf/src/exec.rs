@@ -34,7 +34,6 @@
 //! the partition wins. All failure and recovery activity is counted in
 //! the collector's [`FailureReport`](crate::metrics::FailureReport).
 
-use crate::arena::{ArenaGuard, ArenaPool};
 use crate::cluster::ClusterSpec;
 use crate::error::{Result, SjdfError};
 use crate::faults::{Fault, FaultPlan, FaultSite, INJECTED};
@@ -217,7 +216,6 @@ pub struct ExecCtx {
     pub metrics: Arc<MetricsCollector>,
     pool: Arc<WorkerPool>,
     stage_cache: Arc<StageCache>,
-    arenas: Arc<ArenaPool>,
     opts: Arc<Mutex<ExecOpts>>,
     tracer: Tracer,
 }
@@ -231,7 +229,6 @@ impl ExecCtx {
             metrics: MetricsCollector::new(),
             pool,
             stage_cache: StageCache::new(),
-            arenas: ArenaPool::new(),
             opts: Arc::new(Mutex::new(ExecOpts::default())),
             tracer: Tracer::new(),
         }
@@ -255,7 +252,6 @@ impl ExecCtx {
             metrics: MetricsCollector::new(),
             pool: Arc::clone(&self.pool),
             stage_cache: Arc::clone(&self.stage_cache),
-            arenas: Arc::clone(&self.arenas),
             opts: Arc::clone(&self.opts),
             tracer: self.tracer.clone(),
         }
@@ -314,13 +310,6 @@ impl ExecCtx {
     /// columnar partition batches on the execute path.
     pub fn columnar(&self) -> bool {
         !lock(&self.opts).rowwise
-    }
-
-    /// Borrow a per-task scratch arena from the context's pool. The
-    /// arena is reset and recycled when the guard drops, so hot kernels
-    /// pay no allocator churn for per-task scratch in steady state.
-    pub fn arena(&self) -> ArenaGuard {
-        self.arenas.take()
     }
 
     /// The retry policy waves run under (a snapshot).

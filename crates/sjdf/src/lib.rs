@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bytesize;
 pub mod cluster;
 pub mod error;
@@ -45,7 +44,6 @@ pub mod stagecache;
 /// dependency edge.
 pub use sjtrace as trace;
 
-pub use arena::{ArenaGuard, ArenaPool, Bump, BumpRange};
 pub use bytesize::{pod_vec_byte_size, ByteSize};
 pub use cluster::ClusterSpec;
 pub use error::{Result, SjdfError};

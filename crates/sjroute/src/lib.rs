@@ -15,15 +15,15 @@
 //!   streaks, catalog epochs, and a zero-row **planning catalog** built
 //!   from every worker's schemas, against which the router runs the
 //!   same derivation search a worker would.
-//! - [`router`] — the daemon core: admission via the sjserve scheduler,
-//!   single-shard routing with single-retry failover, scatter-gather
+//! - [`router`] — the daemon: the same admission front a worker runs
+//!   ([`sjserve::front::Front`]) over a [`router::RouterBackend`] that
+//!   does single-shard routing with single-retry failover, scatter-gather
 //!   fan-out for queries whose dataset cover spans shards (merged by
 //!   [`merge`]), heartbeat mark-down/mark-up, and epoch-driven cache
-//!   invalidation ([`cache`]). Implements
-//!   [`sjserve::server::RequestHandler`], so the stock `sjwire` TCP
-//!   front end serves it unmodified. Its `stats` come from the same
-//!   [`sjserve::metrics::Registry`] a worker uses, over a
-//!   [`sjserve::RouterStatsReport`].
+//!   invalidation ([`cache`]). The stock `sjwire` TCP front end
+//!   ([`sjserve::serve`]) serves it unmodified. Its `stats` come from the
+//!   same [`sjserve::metrics::Registry`] a worker uses, over a
+//!   [`sjserve::RouterStatsReport`] carrying the same request counters.
 //! - [`stream`] — streamed fan-out: `subscribe: true` through the
 //!   router opens one upstream subscription per worker reproducing the
 //!   reference plan and merges their (byte-identical) frame streams in
@@ -51,5 +51,5 @@ pub use cache::RouteCache;
 pub use chaos::KillSchedule;
 pub use placement::{assign, partition_dir, ShardDir};
 pub use ring::Ring;
-pub use router::{Router, RouterConfig};
+pub use router::{Router, RouterBackend, RouterConfig};
 pub use topology::{Topology, WorkerState};

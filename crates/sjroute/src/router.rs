@@ -1,8 +1,9 @@
 //! The router: one [`Router`] fronts N `sjserved` workers.
 //!
-//! A routed query goes through the same admission discipline as a worker
-//! (bounded per-tenant queues, round-robin dispatch, deadlines — the
-//! scheduler is literally [`sjserve::scheduler`]), then:
+//! A router is the admission front a worker runs ([`sjserve::front`]:
+//! the protocol check, bounded per-tenant queues, round-robin dispatch,
+//! deadlines, query ids, request traces, request accounting) over a
+//! [`RouterBackend`]. A routed query then goes:
 //!
 //! 1. the query is canonicalized and solved against the **combined
 //!    planning catalog** (every worker's schemas, zero rows), through a
@@ -28,24 +29,26 @@
 //! `worker_call` span, so one timeline covers router queue, per-worker
 //! execution, and merge.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sjcore::engine::{EngineConfig, Plan, Query, QueryEngine, QueryValue};
-use sjcore::SjError;
+use sjcore::engine::{EngineConfig, Plan, Query, QueryEngine};
 use sjdf::ExecCtx;
 use sjserve::cache::{PlanCacheLayer, PlanKey};
 use sjserve::client::{Client, ClientError};
+use sjserve::front::{Backend, CheckedQuery, Front, JobTrace};
 use sjserve::metrics::{Registry, RouterStatsReport};
 use sjserve::protocol::{
     codes, CatalogInfo, ErrorBody, HealthReport, PlanInfo, QuerySpec, Request, Response,
-    SubscriptionAck, TraceSummary, Verb, PROTO_VERSION,
+    SubscriptionAck, Verb,
 };
-use sjserve::scheduler::{AdmissionError, Job, ResponseSlot, Scheduler, SchedulerConfig};
-use sjserve::server::{EmissionSink, RequestHandler};
-use sjtrace::{EventKind, RecordedSpan, SpanEvent, SpanId};
+use sjserve::scheduler::{Job, SchedulerConfig};
+use sjserve::server::EmissionSink;
+use sjstream::AppendBatch;
+use sjtrace::Tracer;
 
 use crate::cache::RouteCache;
 use crate::stream::RouterStreams;
@@ -98,29 +101,50 @@ pub(crate) struct RouterInner {
     pub(crate) metrics: Registry<RouterStatsReport>,
     /// Standing queries routed across the fleet (see [`crate::stream`]).
     pub(crate) streams: RouterStreams,
-    scheduler: Scheduler,
-    route_workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     heartbeat_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     stop: AtomicBool,
-    query_seq: AtomicU64,
 }
 
-/// A running router. Cheap to clone; all clones share one topology,
-/// scheduler, and cache.
-#[derive(Clone)]
-pub struct Router {
+/// The router's half of `sjrouted` behind the admission front: routing,
+/// fan-out and merge, append forwarding, routed subscriptions and the
+/// heartbeat.
+pub struct RouterBackend {
     inner: Arc<RouterInner>,
+}
+
+/// A running router: the admission front over a [`RouterBackend`]. Cheap
+/// to clone; all clones share one topology, scheduler, and cache.
+///
+/// A newtype only so this crate can give it a constructor and the fleet
+/// hooks; everything a request touches (`handle`, `stats_report`,
+/// `shutdown`, ...) is the [`Front`]'s, reached through `Deref`.
+#[derive(Clone)]
+pub struct Router(Front<RouterBackend>);
+
+impl Deref for Router {
+    type Target = Front<RouterBackend>;
+
+    fn deref(&self) -> &Front<RouterBackend> {
+        &self.0
+    }
+}
+
+impl From<Router> for Front<RouterBackend> {
+    fn from(router: Router) -> Self {
+        router.0
+    }
 }
 
 impl Router {
     /// Probe every worker's `catalog`, build the planning state, and
-    /// start the route-worker pool and heartbeat. Unreachable workers
+    /// start the heartbeat and the front's pool. Unreachable workers
     /// start marked down (the heartbeat keeps trying); zero reachable
     /// workers is an error.
     pub fn new(worker_addrs: Vec<String>, config: RouterConfig) -> Result<Router, String> {
         if worker_addrs.is_empty() {
             return Err("router needs at least one worker address".into());
         }
+        let scheduler = config.scheduler.clone();
         let inner = Arc::new(RouterInner {
             topology: Topology::new(worker_addrs),
             ctx: ExecCtx::local(),
@@ -128,11 +152,8 @@ impl Router {
             route_cache: RouteCache::default(),
             metrics: Registry::new(),
             streams: RouterStreams::new(),
-            scheduler: Scheduler::new(config.scheduler.clone()),
-            route_workers: Mutex::new(Vec::new()),
             heartbeat_thread: Mutex::new(None),
             stop: AtomicBool::new(false),
-            query_seq: AtomicU64::new(0),
             config,
         });
         let mut reachable = 0;
@@ -149,144 +170,403 @@ impl Router {
         if reachable == 0 {
             return Err(format!("no reachable workers ({last_err})"));
         }
-        let router = Router { inner };
-        router.start_workers();
-        router.start_heartbeat();
-        Ok(router)
-    }
-
-    fn start_workers(&self) {
-        let mut workers = self.inner.route_workers.lock();
-        for i in 0..self.inner.config.scheduler.workers.max(1) {
-            let inner = Arc::clone(&self.inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("sjroute-worker-{i}"))
-                    .spawn(move || route_worker_loop(&inner))
-                    .expect("spawn route worker"),
-            );
-        }
-    }
-
-    fn start_heartbeat(&self) {
-        let inner = Arc::clone(&self.inner);
-        *self.inner.heartbeat_thread.lock() = Some(
+        let heartbeat = {
+            let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("sjroute-heartbeat".into())
                 .spawn(move || heartbeat_loop(&inner))
-                .expect("spawn heartbeat"),
-        );
+                .expect("spawn heartbeat")
+        };
+        *inner.heartbeat_thread.lock() = Some(heartbeat);
+        Ok(Router(Front::start(RouterBackend { inner }, scheduler)))
     }
 
-    /// Handle one request end to end (the TCP front end and in-process
-    /// embedders both enter here).
-    pub fn handle(&self, request: Request) -> Response {
+    /// The fleet as the router currently sees it (test/observability
+    /// hook).
+    pub fn topology(&self) -> &Topology {
+        &self.backend().inner.topology
+    }
+
+    /// Force an immediate heartbeat pass (test hook: markdown and epoch
+    /// detection without waiting out the heartbeat period).
+    pub fn probe_now(&self) {
+        probe_all(&self.backend().inner);
+    }
+}
+
+impl Backend for RouterBackend {
+    type Report = RouterStatsReport;
+
+    const DAEMON: &'static str = "router";
+    const PROCESS: &'static str = "sjroute";
+    const ROOT_SPAN: &'static str = "route";
+    const QUERY_ID_PREFIX: &'static str = "r";
+    const SUBSCRIPTION_ID_PREFIX: &'static str = "rs";
+
+    fn metrics(&self) -> &Registry<RouterStatsReport> {
+        &self.inner.metrics
+    }
+
+    fn tracer(&self) -> &Tracer {
+        self.inner.ctx.tracer()
+    }
+
+    fn engine(&self) -> &EngineConfig {
+        &self.inner.config.engine
+    }
+
+    fn health(&self) -> HealthReport {
         let inner = &self.inner;
-        let started = Instant::now();
-        let mut response = match request.proto_version {
-            Some(v) if v != PROTO_VERSION => Response::fail(
-                &request.id,
-                ErrorBody::new(
-                    codes::PROTO_MISMATCH,
-                    format!("peer speaks protocol v{v}, this router speaks v{PROTO_VERSION}"),
-                ),
-            ),
-            _ => match request.verb {
-                Verb::Stats => {
-                    let mut r = Response::ok(&request.id);
-                    r.router_stats = Some(self.stats_report());
-                    r
-                }
-                Verb::Health => {
-                    let mut r = Response::ok(&request.id);
-                    let all_up = inner.topology.workers.iter().all(|w| w.healthy());
-                    r.health = Some(HealthReport {
-                        status: if all_up { "ok" } else { "degraded" }.into(),
-                        datasets: inner.topology.all_datasets(),
-                        uptime_ms: inner.metrics.uptime().as_millis() as u64,
-                        shard_id: None,
-                        catalog_epoch: Some(inner.topology.combined_epoch()),
-                        stage_cache_bytes: None,
-                    });
-                    r
-                }
-                Verb::Catalog => {
-                    let mut r = Response::ok(&request.id);
-                    r.catalog = Some(CatalogInfo {
-                        shard_id: None,
-                        epoch: inner.topology.combined_epoch(),
-                        datasets: inner.topology.combined_datasets(),
-                    });
-                    r
-                }
-                Verb::Shutdown => Response::ok(&request.id),
-                // Appends run inline on the connection thread (same as
-                // a worker) so forwarded batches stay ordered per
-                // connection — the lockstep frame merge depends on
-                // every fed worker seeing the same accepted prefix.
-                Verb::Append => self.handle_append(&request),
-                // A subscription needs a streaming-capable transport; a
-                // plain `handle` has no sink to push frames to.
-                Verb::Query if request.subscribe == Some(true) => Response::fail(
-                    &request.id,
-                    ErrorBody::new(
-                        codes::STREAM_UNSUPPORTED,
-                        "standing queries (`subscribe: true`) need a streaming-capable \
-                         connection; this path cannot deliver pushed frames",
-                    ),
-                ),
-                Verb::Query | Verb::Explain => self.enqueue_and_wait(request, started),
-            },
-        };
-        response.proto_version = Some(PROTO_VERSION);
-        response
-    }
-
-    /// Handle one request on a streaming-capable transport: like
-    /// [`Router::handle`], but `subscribe: true` opens a fleet-wide
-    /// standing query whose merged window frames are pushed to `sink`
-    /// for the rest of the connection's life.
-    pub fn handle_streaming(&self, request: Request, sink: &Arc<dyn EmissionSink>) -> Response {
-        if request.verb != Verb::Query || request.subscribe != Some(true) {
-            return self.handle(request);
+        let all_up = inner.topology.workers.iter().all(|w| w.healthy());
+        HealthReport {
+            status: if all_up { "ok" } else { "degraded" }.into(),
+            datasets: inner.topology.all_datasets(),
+            uptime_ms: inner.metrics.uptime().as_millis() as u64,
+            shard_id: None,
+            catalog_epoch: Some(inner.topology.combined_epoch()),
+            stage_cache_bytes: None,
         }
-        let mut response = match request.proto_version {
-            Some(v) if v != PROTO_VERSION => Response::fail(
-                &request.id,
-                ErrorBody::new(
-                    codes::PROTO_MISMATCH,
-                    format!("peer speaks protocol v{v}, this router speaks v{PROTO_VERSION}"),
-                ),
-            ),
-            _ => self.handle_subscribe(&request, sink),
-        };
-        response.proto_version = Some(PROTO_VERSION);
-        response
     }
 
-    /// Drop every routed subscription bound to `sink` (its connection
-    /// ended).
-    pub fn connection_closed(&self, sink: &Arc<dyn EmissionSink>) {
-        self.inner.streams.connection_closed(&self.inner, sink);
+    fn catalog(&self) -> CatalogInfo {
+        CatalogInfo {
+            shard_id: None,
+            epoch: self.inner.topology.combined_epoch(),
+            datasets: self.inner.topology.combined_datasets(),
+        }
+    }
+
+    fn fill_stats(&self, r: &mut RouterStatsReport) {
+        let cache = self.inner.route_cache.stats();
+        r.route_cache_entries = cache.entries;
+        r.route_cache_hits = cache.hits;
+        r.route_cache_misses = cache.misses;
+        r.route_cache_bytes = cache.bytes;
+        r.route_cache_evictions = cache.evictions;
+        r.workers = self.inner.topology.summaries();
+    }
+
+    /// Solve, route, fan out, merge: a `worker_call` span per remote
+    /// call, and each worker's own span tree a guest under the call that
+    /// fetched it.
+    fn execute(&self, job: &Job, query: &CheckedQuery, trace: &mut JobTrace) -> Response {
+        let inner = &*self.inner;
+        let id = job.request.id.clone();
+        let fail = |body: ErrorBody| Response::fail(&id, body);
+        let (spec, window, step) = (query.spec, query.window, query.step);
+        let route_engine = query.engine(&inner.config.engine);
+
+        // Solve against the planning catalog (schemas only) through the plan
+        // cache.
+        let (canonical, plan, plan_cache_hit) =
+            match solve_reference(inner, &query.query, window, step, &route_engine) {
+                Ok(t) => t,
+                Err(body) => return fail(body),
+            };
+
+        if job.request.verb == Verb::Explain {
+            let mut r = Response::ok(&id);
+            r.plan = Some(PlanInfo::new(&plan, plan_cache_hit));
+            return r;
+        }
+
+        let limit = spec.limit.unwrap_or(inner.config.default_limit);
+        // Traced requests bypass the cache: the client asked to watch the
+        // hop actually happen.
+        let caching = !job.request.wants_trace();
+        if caching {
+            if let Some(mut hit) = inner.route_cache.get(plan.fingerprint(), limit) {
+                hit.id = id.clone();
+                if let Some(result) = hit.result.as_mut() {
+                    result.result_cache_hit = true;
+                }
+                return hit;
+            }
+        }
+
+        inner.metrics.update(|r| r.routed_queries += 1);
+        let cover: Vec<String> = plan.loads().iter().map(|s| s.to_string()).collect();
+
+        // Single-shard fast path: some live worker's own catalog derives the
+        // whole query with the reference plan. Keyed on the sorted combined
+        // cover so the choice among equally capable workers is
+        // deterministic per query shape.
+        let cover_key = {
+            let mut sorted = cover.clone();
+            sorted.sort_unstable();
+            sorted.join(",")
+        };
+        let (live, _) =
+            inner
+                .topology
+                .local_solvers(&canonical, &route_engine, plan.fingerprint(), &cover_key);
+        if !live.is_empty() {
+            let mut sub_spec = spec.clone();
+            sub_spec.limit = Some(limit);
+            let sub = sub_request(job, &format!("{}.w", job.query_id), sub_spec);
+            return match call_with_failover(inner, &live, &sub, job.deadline, trace) {
+                Ok(mut resp) => {
+                    resp.id = id.clone();
+                    if resp.is_degraded() {
+                        inner.metrics.update(|r| r.degraded += 1);
+                    }
+                    if caching && resp.is_ok() {
+                        let mut cached = resp.clone();
+                        cached.trace = None;
+                        inner.route_cache.put(plan.fingerprint(), limit, cached);
+                    }
+                    resp
+                }
+                Err(e) => fail(ErrorBody::new(
+                    codes::WORKER_UNAVAILABLE,
+                    format!("no worker holding {cover:?} answered: {e}"),
+                )),
+            };
+        }
+
+        // Scatter-gather: split per value dimension, grouping values whose
+        // sub-covers land on the same worker.
+        struct Group {
+            /// Failover-ordered candidate workers able to answer every value
+            /// in the group (the chosen primary is first).
+            candidates: Vec<usize>,
+            /// Indices into `spec.values`.
+            values: Vec<usize>,
+        }
+        let mut groups: Vec<Group> = Vec::new();
+        for (vi, value) in canonical.values.iter().enumerate() {
+            let sub_query = Query {
+                domains: canonical.domains.clone(),
+                values: vec![value.clone()],
+            };
+            // Reference sub-plan on the combined catalog: what a single
+            // process would derive for this value alone.
+            let sub_plan = {
+                let planning = inner.topology.planning();
+                let key = match PlanKey::new(&sub_query, window, step) {
+                    Some(key) => key,
+                    None => unreachable!("knobs validated above"),
+                };
+                match inner.plan_cache.get(&key) {
+                    Some(plan) => plan,
+                    None => {
+                        let engine =
+                            QueryEngine::with_config(&planning.catalog, route_engine.clone());
+                        match engine.solve(&sub_query) {
+                            Ok(plan) => inner.plan_cache.insert(key, plan),
+                            Err(e) => {
+                                return fail(ErrorBody::new(
+                                    codes::NO_ROUTE,
+                                    format!(
+                                        "value `{}` is not derivable on its own: {e}",
+                                        value.dimension
+                                    ),
+                                ))
+                            }
+                        }
+                    }
+                }
+            };
+            // Routability: which workers reproduce that exact plan from
+            // their own shard (plan-fingerprint equality, not merely
+            // holding the cover — see `topology`).
+            let sub_key = format!("{}|{}", canonical.domains.join(","), value.dimension);
+            let (sub_live, sub_any) = inner.topology.local_solvers(
+                &sub_query,
+                &route_engine,
+                sub_plan.fingerprint(),
+                &sub_key,
+            );
+            if sub_live.is_empty() {
+                return if sub_any.is_empty() {
+                    let sub_cover: Vec<&str> = sub_plan.loads();
+                    fail(ErrorBody::new(
+                        codes::NO_ROUTE,
+                        format!(
+                            "deriving value `{}` needs datasets {sub_cover:?} on one worker, \
+                             but no shard reproduces that derivation locally; co-locate them \
+                             or raise the partitioner's --replicas",
+                            value.dimension
+                        ),
+                    ))
+                } else {
+                    fail(ErrorBody::new(
+                        codes::WORKER_UNAVAILABLE,
+                        format!(
+                            "every worker able to derive value `{}` is marked down",
+                            value.dimension
+                        ),
+                    ))
+                };
+            }
+            // Prefer a worker already receiving a sub-query, minimizing
+            // fan-out width.
+            let chosen = sub_live
+                .iter()
+                .copied()
+                .find(|w| groups.iter().any(|g| g.candidates.first() == Some(w)))
+                .unwrap_or(sub_live[0]);
+            match groups
+                .iter_mut()
+                .find(|g| g.candidates.first() == Some(&chosen))
+            {
+                Some(group) => {
+                    group.values.push(vi);
+                    // A failover target must be able to answer the whole
+                    // group: intersect with this value's live holders.
+                    group
+                        .candidates
+                        .retain(|c| *c == chosen || sub_live.contains(c));
+                }
+                None => {
+                    let mut candidates = vec![chosen];
+                    candidates.extend(sub_live.into_iter().filter(|w| *w != chosen));
+                    groups.push(Group {
+                        candidates,
+                        values: vec![vi],
+                    });
+                }
+            }
+        }
+
+        if groups.len() > 1 {
+            inner.metrics.update(|r| r.scatter_gather_queries += 1);
+        }
+
+        // Fan out: one thread per group, each with its own failover budget
+        // and its own guest spans.
+        let parent = trace.parent;
+        let results: Vec<(Result<Response, String>, JobTrace)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .iter()
+                .enumerate()
+                .map(|(gi, group)| {
+                    scope.spawn(move || {
+                        let sub_spec = QuerySpec {
+                            domains: spec.domains.clone(),
+                            values: group
+                                .values
+                                .iter()
+                                .map(|&vi| spec.values[vi].clone())
+                                .collect(),
+                            window_secs: Some(window),
+                            step_secs: Some(step),
+                            limit: Some(inner.config.fanout_limit),
+                        };
+                        let sub = sub_request(job, &format!("{}.g{gi}", job.query_id), sub_spec);
+                        let mut trace = JobTrace {
+                            parent,
+                            guests: Vec::new(),
+                        };
+                        let result = call_with_failover(
+                            inner,
+                            &group.candidates,
+                            &sub,
+                            job.deadline,
+                            &mut trace,
+                        );
+                        (result, trace)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fan-out thread"))
+                .collect()
+        });
+
+        let mut partials = Vec::new();
+        let mut failures: Vec<String> = Vec::new();
+        let mut worst_failure: Option<sjdf::FailureReport> = None;
+        let mut any_degraded = false;
+        for (gi, (result, sub_trace)) in results.into_iter().enumerate() {
+            trace.guests.extend(sub_trace.guests);
+            match result {
+                Ok(resp) => {
+                    if resp.is_degraded() {
+                        any_degraded = true;
+                    }
+                    if let Some(f) = resp.failure {
+                        worst_failure = Some(f);
+                    }
+                    match resp.result {
+                        Some(result) => partials.push(result),
+                        None => failures.push(format!(
+                            "sub-query {gi}: {}",
+                            resp.error
+                                .map(|e| format!("{}: {}", e.code, e.message))
+                                .unwrap_or_else(|| resp.status.clone())
+                        )),
+                    }
+                }
+                Err(e) => failures.push(format!("sub-query {gi}: {e}")),
+            }
+        }
+
+        if partials.is_empty() {
+            return fail(ErrorBody::new(
+                codes::WORKER_UNAVAILABLE,
+                format!(
+                    "all scatter-gather sub-queries failed: {}",
+                    failures.join("; ")
+                ),
+            ));
+        }
+
+        let mut merged = match crate::merge::natural_join(partials) {
+            Ok(merged) => merged,
+            Err(e) => {
+                return fail(ErrorBody::new(
+                    codes::EXEC_FAILED,
+                    format!("scatter-gather merge: {e}"),
+                ))
+            }
+        };
+        // Canonical order: the query's domains first, then its values, rows
+        // sorted — deterministic regardless of which worker answered first.
+        let mut preferred = canonical.domains.clone();
+        preferred.extend(canonical.values.iter().map(|v| v.dimension.clone()));
+        crate::merge::canonicalize(&mut merged, &preferred);
+        merged.row_count = merged.rows.len();
+        if merged.rows.len() > limit {
+            merged.rows.truncate(limit);
+            merged.truncated = true;
+        }
+        merged.elapsed_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+
+        if failures.is_empty() && !any_degraded {
+            let mut r = Response::ok(&id);
+            r.result = Some(merged);
+            if caching {
+                inner.route_cache.put(plan.fingerprint(), limit, r.clone());
+            }
+            r
+        } else {
+            inner.metrics.update(|r| r.degraded += 1);
+            let detail = if failures.is_empty() {
+                "a shard answered degraded".to_string()
+            } else {
+                failures.join("; ")
+            };
+            let mut r = Response::degraded(
+                &id,
+                ErrorBody::new(codes::DEGRADED, format!("partial merge: {detail}")),
+                worst_failure.unwrap_or_default(),
+            );
+            r.result = Some(merged);
+            r
+        }
     }
 
     /// Forward one append batch to **every** live worker holding the
-    /// dataset. All owners must ingest the same prefix in the same
-    /// order, or their standing-query emissions diverge; a worker that
-    /// misses a batch is treated as lost by every routed subscription
-    /// it feeds (see [`crate::stream`]).
-    fn handle_append(&self, request: &Request) -> Response {
+    /// dataset. The front runs appends on the connection thread, so
+    /// forwarded batches stay ordered per connection: the lockstep frame
+    /// merge depends on every fed worker seeing the same accepted
+    /// prefix. A worker that misses a batch is treated as lost by every
+    /// routed subscription it feeds (see [`crate::stream`]).
+    fn append(&self, request: &Request, batch: &AppendBatch) -> Response {
         let inner = &self.inner;
         let id = &request.id;
-        let batch = match &request.append {
-            Some(batch) => batch,
-            None => {
-                return Response::fail(
-                    id,
-                    ErrorBody::new(codes::BAD_REQUEST, "append requires an `append` payload"),
-                )
-            }
-        };
         let owners: Vec<usize> = inner
             .topology
             .planning()
@@ -406,63 +686,17 @@ impl Router {
     /// Register a fleet-wide standing query: subscribe on every live
     /// worker that reproduces the reference plan locally, then merge
     /// their frame streams in lockstep (see [`crate::stream`]).
-    fn handle_subscribe(&self, request: &Request, sink: &Arc<dyn EmissionSink>) -> Response {
+    fn subscribe(
+        &self,
+        request: &Request,
+        query: &CheckedQuery,
+        query_id: &str,
+        sink: &Arc<dyn EmissionSink>,
+    ) -> Result<SubscriptionAck, ErrorBody> {
         let inner = &self.inner;
-        let id = &request.id;
-        let spec = match &request.query {
-            Some(spec) => spec.clone(),
-            None => {
-                return Response::fail(
-                    id,
-                    ErrorBody::new(codes::BAD_REQUEST, "subscribe requires a `query` payload"),
-                )
-            }
-        };
-        if spec.domains.is_empty() || spec.values.is_empty() {
-            return Response::fail(
-                id,
-                ErrorBody::new(codes::BAD_REQUEST, "query needs domains and values"),
-            );
-        }
-        let window = spec
-            .window_secs
-            .unwrap_or(inner.config.engine.interp_window_secs);
-        let step = spec
-            .step_secs
-            .unwrap_or(inner.config.engine.explode_step_secs);
-        if !window.is_finite() || window < 0.0 || !step.is_finite() || step < 0.0 {
-            return Response::fail(
-                id,
-                ErrorBody::new(
-                    codes::BAD_REQUEST,
-                    format!(
-                        "window_secs and step_secs must be finite and non-negative \
-                         (got window={window}, step={step})"
-                    ),
-                ),
-            );
-        }
-        let route_engine = EngineConfig {
-            interp_window_secs: window,
-            explode_step_secs: step,
-            ..inner.config.engine.clone()
-        };
-        let query = Query {
-            domains: spec.domains.clone(),
-            values: spec
-                .values
-                .iter()
-                .map(|v| QueryValue {
-                    dimension: v.dimension.clone(),
-                    units: v.units.clone(),
-                })
-                .collect(),
-        };
-        let (canonical, plan, _) = match solve_reference(inner, &query, window, step, &route_engine)
-        {
-            Ok(t) => t,
-            Err(body) => return Response::fail(id, body),
-        };
+        let route_engine = query.engine(&inner.config.engine);
+        let (canonical, plan, _) =
+            solve_reference(inner, &query.query, query.window, query.step, &route_engine)?;
         let cover: Vec<String> = plan.loads().iter().map(|s| s.to_string()).collect();
         let cover_key = {
             let mut sorted = cover.clone();
@@ -474,32 +708,21 @@ impl Router {
                 .topology
                 .local_solvers(&canonical, &route_engine, plan.fingerprint(), &cover_key);
         if live.is_empty() {
-            return if all.is_empty() {
-                Response::fail(
-                    id,
-                    ErrorBody::new(
-                        codes::NO_ROUTE,
-                        format!(
-                            "a standing query over {cover:?} needs a worker reproducing \
-                             the reference derivation locally, and none does"
-                        ),
+            return Err(if all.is_empty() {
+                ErrorBody::new(
+                    codes::NO_ROUTE,
+                    format!(
+                        "a standing query over {cover:?} needs a worker reproducing \
+                         the reference derivation locally, and none does"
                     ),
                 )
             } else {
-                Response::fail(
-                    id,
-                    ErrorBody::new(
-                        codes::WORKER_UNAVAILABLE,
-                        "every worker able to serve this standing query is marked down",
-                    ),
+                ErrorBody::new(
+                    codes::WORKER_UNAVAILABLE,
+                    "every worker able to serve this standing query is marked down",
                 )
-            };
+            });
         }
-        let query_id = format!(
-            "rs{:06}-{}",
-            inner.query_seq.fetch_add(1, Ordering::Relaxed),
-            id
-        );
         // Subscribe upstream on every live local solver. Workers that
         // refuse are skipped (and counted against); the merge runs over
         // whoever acked.
@@ -514,7 +737,7 @@ impl Router {
                 let sub = Request::subscribe(
                     &format!("{query_id}.w{idx}"),
                     &request.tenant,
-                    spec.clone(),
+                    query.spec.clone(),
                 )
                 .with_proto();
                 let resp = client
@@ -541,187 +764,33 @@ impl Router {
                 }
             }
         }
-        if feeds.is_empty() {
-            return Response::fail(
-                id,
-                ErrorBody::new(
-                    codes::WORKER_UNAVAILABLE,
-                    format!(
-                        "no worker accepted the standing query: {}",
-                        errors.join("; ")
-                    ),
+        let Some(ack) = ack else {
+            return Err(ErrorBody::new(
+                codes::WORKER_UNAVAILABLE,
+                format!(
+                    "no worker accepted the standing query: {}",
+                    errors.join("; ")
                 ),
-            );
-        }
-        let ack = ack.expect("at least one feed acked");
-        RouterStreams::open(&self.inner, query_id.clone(), id.clone(), sink, feeds);
-        let mut r = Response::ok(id);
-        r.query_id = Some(query_id.clone());
-        r.subscription = Some(SubscriptionAck {
-            query_id,
-            window_secs: ack.window_secs,
-            allowed_lateness_secs: ack.allowed_lateness_secs,
-        });
-        r
-    }
-
-    fn enqueue_and_wait(&self, request: Request, started: Instant) -> Response {
-        let inner = &self.inner;
-        let id = request.id.clone();
-        let tenant = request.tenant.clone();
-        let query_id = format!(
-            "r{:06}-{}",
-            inner.query_seq.fetch_add(1, Ordering::Relaxed),
-            id
-        );
-        if request.wants_trace() {
-            inner.ctx.tracer().enable();
-        }
-        let timeout = request
-            .timeout_ms
-            .map(Duration::from_millis)
-            .unwrap_or(inner.config.scheduler.default_timeout);
-        let deadline = started + timeout;
-        let slot = ResponseSlot::new();
-        let job = Job {
-            request,
-            tenant: tenant.clone(),
-            enqueued: started,
-            deadline,
-            slot: Arc::clone(&slot),
-            query_id: query_id.clone(),
+            ));
         };
-        match inner.scheduler.submit(job) {
-            Ok(depth) => inner.metrics.tenant(&tenant, |r, t| {
-                t.admitted += 1;
-                r.note_queue_depth(depth);
-            }),
-            Err(AdmissionError::QueueFull { depth, capacity }) => {
-                inner.metrics.tenant(&tenant, |r, t| {
-                    t.rejected += 1;
-                    r.rejected_queue_full += 1;
-                });
-                let mut r = Response::fail(
-                    &id,
-                    ErrorBody::new(
-                        codes::QUEUE_FULL,
-                        format!("router queue at capacity ({depth}/{capacity}); retry later"),
-                    ),
-                );
-                r.query_id = Some(query_id);
-                return r;
-            }
-            Err(AdmissionError::ShuttingDown) => {
-                let mut r = Response::fail(
-                    &id,
-                    ErrorBody::new(codes::SHUTDOWN, "router is shutting down"),
-                );
-                r.query_id = Some(query_id);
-                return r;
-            }
-        }
-        let response = match slot.wait_until(deadline) {
-            Some(response) => response,
-            None => {
-                inner.metrics.update(|r| r.timeouts += 1);
-                let mut r = Response::fail(
-                    &id,
-                    ErrorBody::new(
-                        codes::TIMEOUT,
-                        format!("deadline of {}ms elapsed", timeout.as_millis()),
-                    ),
-                );
-                r.query_id = Some(query_id);
-                r
-            }
-        };
-        inner.metrics.tenant(&tenant, |_, t| t.completed += 1);
-        // Routed latency: queue + fan-out + merge.
-        inner.metrics.finished(started.elapsed(), |_| {});
-        response
-    }
-
-    /// Current router metrics (the `stats` verb payload).
-    pub fn stats_report(&self) -> RouterStatsReport {
-        let inner = &self.inner;
-        // Read everything kept outside the registry first: its lock is a
-        // leaf.
-        let uptime = inner.metrics.uptime();
-        let cache = inner.route_cache.stats();
-        let depth = inner.scheduler.depth();
-        let workers = inner.topology.summaries();
-        inner.metrics.snapshot(|r, latency, tenants| {
-            r.uptime_ms = uptime.as_millis() as u64;
-            r.note_queue_depth(depth);
-            r.route_latency_count = latency.count();
-            r.route_latency_ms_p50 = latency.quantile_ms(0.50);
-            r.route_latency_ms_p99 = latency.quantile_ms(0.99);
-            r.route_latency_ms_max = latency.max_ms();
-            r.route_cache_entries = cache.entries;
-            r.route_cache_hits = cache.hits;
-            r.route_cache_misses = cache.misses;
-            r.route_cache_bytes = cache.bytes;
-            r.route_cache_evictions = cache.evictions;
-            r.workers = workers;
-            r.per_tenant = tenants;
+        RouterStreams::open(inner, query_id.to_string(), request.id.clone(), sink, feeds);
+        Ok(SubscriptionAck {
+            query_id: query_id.to_string(),
+            ..ack
         })
     }
 
-    /// The fleet as the router currently sees it (test/observability
-    /// hook).
-    pub fn topology(&self) -> &Topology {
-        &self.inner.topology
+    fn connection_closed(&self, sink: &Arc<dyn EmissionSink>) {
+        self.inner.streams.connection_closed(&self.inner, sink);
     }
 
-    /// Force an immediate heartbeat pass (test hook: markdown and epoch
-    /// detection without waiting out the heartbeat period).
-    pub fn probe_now(&self) {
-        probe_all(&self.inner);
-    }
-
-    /// Stop heartbeat and route workers, answering still-queued jobs
-    /// with a shutdown error, and return the final metrics snapshot.
-    pub fn shutdown(&self) -> RouterStatsReport {
+    /// Stop the heartbeat and tear down routed subscriptions.
+    fn stop(&self) {
         self.inner.stop.store(true, Ordering::Release);
         self.inner.streams.shutdown_all(&self.inner);
         if let Some(handle) = self.inner.heartbeat_thread.lock().take() {
             let _ = handle.join();
         }
-        for job in self.inner.scheduler.shutdown() {
-            job.slot.fulfill(Response::fail(
-                &job.request.id,
-                ErrorBody::new(codes::SHUTDOWN, "router is shutting down"),
-            ));
-        }
-        let workers = std::mem::take(&mut *self.inner.route_workers.lock());
-        for handle in workers {
-            let _ = handle.join();
-        }
-        self.stats_report()
-    }
-}
-
-impl RequestHandler for Router {
-    type Summary = RouterStatsReport;
-
-    fn handle(&self, request: Request) -> Response {
-        Router::handle(self, request)
-    }
-
-    fn handle_streaming(&self, request: Request, sink: &Arc<dyn EmissionSink>) -> Response {
-        Router::handle_streaming(self, request, sink)
-    }
-
-    fn connection_closed(&self, sink: &Arc<dyn EmissionSink>) {
-        Router::connection_closed(self, sink)
-    }
-
-    fn protocol_request(&self) {
-        self.inner.metrics.update(|r| r.requests_binary += 1);
-    }
-
-    fn shutdown(&self) -> RouterStatsReport {
-        Router::shutdown(self)
     }
 }
 
@@ -738,509 +807,15 @@ fn solve_reference(
     route_engine: &EngineConfig,
 ) -> Result<(Query, std::sync::Arc<Plan>, bool), ErrorBody> {
     let planning = inner.topology.planning();
-    let canonical = query
-        .canonicalize(planning.catalog.dict())
-        .map_err(|e| ErrorBody::new(codes::BAD_REQUEST, e.to_string()))?;
+    let canonical = query.canonicalize(planning.catalog.dict())?;
     let key = PlanKey::new(&canonical, window, step)
         .ok_or_else(|| ErrorBody::new(codes::BAD_REQUEST, "window/step do not form a plan key"))?;
     if let Some(plan) = inner.plan_cache.get(&key) {
         return Ok((canonical, plan, true));
     }
-    let engine = QueryEngine::with_config(&planning.catalog, route_engine.clone());
-    match engine.solve(&canonical) {
-        Ok(plan) => {
-            let plan = inner.plan_cache.insert(key, plan);
-            Ok((canonical, plan, false))
-        }
-        Err(SjError::NoSolution(msg)) => Err(ErrorBody::new(codes::NO_SOLUTION, msg)),
-        Err(e @ SjError::SearchTruncated { .. }) => {
-            Err(ErrorBody::new(codes::SEARCH_TRUNCATED, e.to_string()))
-        }
-        Err(e) => Err(ErrorBody::new(codes::BAD_REQUEST, e.to_string())),
-    }
-}
-
-fn route_worker_loop(inner: &RouterInner) {
-    while let Some((job, depth)) = inner.scheduler.next_job() {
-        inner.metrics.update(|r| r.note_queue_depth(depth));
-        if job.slot.is_cancelled() {
-            continue;
-        }
-        if Instant::now() >= job.deadline {
-            inner.metrics.update(|r| r.timeouts += 1);
-            job.slot.fulfill(Response::fail(
-                &job.request.id,
-                ErrorBody::new(codes::TIMEOUT, "deadline elapsed while queued"),
-            ));
-            continue;
-        }
-        let response = route_execute(inner, &job);
-        job.slot.fulfill(response);
-    }
-}
-
-/// Worker span trees to graft, keyed by the `worker_call` span each hangs
-/// under.
-type Guests = Vec<(SpanId, Vec<SpanEvent>)>;
-
-fn stamp_query_id(response: &mut Response, query_id: &str) {
-    response.query_id = Some(query_id.to_string());
-    if let Some(failure) = response.failure.as_mut() {
-        failure.query_id = Some(query_id.to_string());
-    }
-}
-
-/// Abandoned spans older than this are pruned after each request (same
-/// retention as the worker side).
-const TRACE_RETENTION_US: u64 = 300_000_000;
-
-/// Route one job under its request-scoped trace: a retroactive `route`
-/// root opened at admission, a `queue_wait` child, a `worker_call` span
-/// per remote call, and each worker's own span tree grafted under the
-/// call that fetched it — one timeline across the hop.
-fn route_execute(inner: &RouterInner, job: &Job) -> Response {
-    let tracer = inner.ctx.tracer().clone();
-    if !tracer.enabled() {
-        let (mut response, _) = route_query(inner, job, None);
-        stamp_query_id(&mut response, &job.query_id);
-        return response;
-    }
-    let now = tracer.now_us();
-    let queued_us = job.enqueued.elapsed().as_micros() as u64;
-    let start = now.saturating_sub(queued_us);
-    let mut root = tracer.span_at("route", start);
-    let root_id = root.root();
-    if root.is_recording() {
-        root.set_detail(format!("query_id={} tenant={}", job.query_id, job.tenant));
-        tracer.record_span(RecordedSpan {
-            name: "queue_wait",
-            detail: format!("{queued_us}us queued"),
-            parent: root.id(),
-            root: root_id,
-            start_us: start,
-            end_us: now,
-            failed: false,
-            kind: EventKind::Span,
-        });
-    }
-    let (mut response, guests) = route_query(inner, job, Some((root.id(), root_id)));
-    stamp_query_id(&mut response, &job.query_id);
-    if !response.is_ok() {
-        root.fail();
-    }
-    drop(root);
-
-    let mut events = tracer.take_root(root_id);
-    tracer.prune_before(tracer.now_us().saturating_sub(TRACE_RETENTION_US));
-    for (attach, spans) in guests {
-        // Grafting is best-effort: a worker that shipped a malformed
-        // tree must not fail the query its spans describe.
-        let _ = sjtrace::graft(&mut events, attach, &spans);
-    }
-    events.sort_by_key(|e| (e.start_us, e.id));
-
-    if job.request.wants_trace() {
-        let thread_names = tracer.thread_names();
-        response.trace = Some(TraceSummary {
-            query_id: job.query_id.clone(),
-            span_count: events.len() as u64,
-            dropped_spans: tracer.dropped(),
-            timeline: sjtrace::timeline::render(&events),
-            chrome_json: Some(sjtrace::export::chrome_trace_json(
-                &events,
-                &thread_names,
-                "sjroute",
-            )),
-            spans: Some(events),
-        });
-    }
-    response
-}
-
-/// Solve, route, fan out, merge. Returns the response plus any worker
-/// span trees for the caller to graft.
-fn route_query(
-    inner: &RouterInner,
-    job: &Job,
-    trace: Option<(SpanId, SpanId)>,
-) -> (Response, Guests) {
-    let mut guests: Guests = Vec::new();
-    let id = job.request.id.clone();
-    let fail = |body: ErrorBody, guests: Guests| (Response::fail(&id, body), guests);
-
-    let spec = match &job.request.query {
-        Some(spec) => spec.clone(),
-        None => {
-            return fail(
-                ErrorBody::new(
-                    codes::BAD_REQUEST,
-                    "query/explain requires a `query` payload",
-                ),
-                guests,
-            )
-        }
-    };
-    if spec.domains.is_empty() || spec.values.is_empty() {
-        return fail(
-            ErrorBody::new(codes::BAD_REQUEST, "query needs domains and values"),
-            guests,
-        );
-    }
-    let window = spec
-        .window_secs
-        .unwrap_or(inner.config.engine.interp_window_secs);
-    let step = spec
-        .step_secs
-        .unwrap_or(inner.config.engine.explode_step_secs);
-    if !window.is_finite() || window < 0.0 || !step.is_finite() || step < 0.0 {
-        return fail(
-            ErrorBody::new(
-                codes::BAD_REQUEST,
-                format!(
-                    "window_secs and step_secs must be finite and non-negative \
-                     (got window={window}, step={step})"
-                ),
-            ),
-            guests,
-        );
-    }
-
-    let route_engine = EngineConfig {
-        interp_window_secs: window,
-        explode_step_secs: step,
-        ..inner.config.engine.clone()
-    };
-    let query = Query {
-        domains: spec.domains.clone(),
-        values: spec
-            .values
-            .iter()
-            .map(|v| QueryValue {
-                dimension: v.dimension.clone(),
-                units: v.units.clone(),
-            })
-            .collect(),
-    };
-
-    // Solve against the planning catalog (schemas only) through the plan
-    // cache.
-    let (canonical, plan, plan_cache_hit) =
-        match solve_reference(inner, &query, window, step, &route_engine) {
-            Ok(t) => t,
-            Err(body) => return fail(body, guests),
-        };
-
-    if job.request.verb == Verb::Explain {
-        let mut r = Response::ok(&id);
-        r.plan = Some(PlanInfo {
-            plan_json: plan.to_json(),
-            plan_text: plan.describe(),
-            fingerprint: plan.fingerprint(),
-            plan_cache_hit,
-        });
-        return (r, guests);
-    }
-
-    let limit = spec.limit.unwrap_or(inner.config.default_limit);
-    // Traced requests bypass the cache: the client asked to watch the
-    // hop actually happen.
-    let caching = !job.request.wants_trace();
-    if caching {
-        if let Some(mut hit) = inner.route_cache.get(plan.fingerprint(), limit) {
-            hit.id = id.clone();
-            if let Some(result) = hit.result.as_mut() {
-                result.result_cache_hit = true;
-            }
-            return (hit, guests);
-        }
-    }
-
-    inner.metrics.update(|r| r.routed_queries += 1);
-    let cover: Vec<String> = plan.loads().iter().map(|s| s.to_string()).collect();
-
-    // Single-shard fast path: some live worker's own catalog derives the
-    // whole query with the reference plan. Keyed on the sorted combined
-    // cover so the choice among equally capable workers is
-    // deterministic per query shape.
-    let cover_key = {
-        let mut sorted = cover.clone();
-        sorted.sort_unstable();
-        sorted.join(",")
-    };
-    let (live, _) =
-        inner
-            .topology
-            .local_solvers(&canonical, &route_engine, plan.fingerprint(), &cover_key);
-    if !live.is_empty() {
-        let mut sub_spec = spec.clone();
-        sub_spec.limit = Some(limit);
-        let sub = sub_request(job, &format!("{}.w", job.query_id), sub_spec);
-        return match call_with_failover(inner, &live, &sub, job.deadline, trace, &mut guests) {
-            Ok(mut resp) => {
-                resp.id = id.clone();
-                if resp.is_degraded() {
-                    inner.metrics.update(|r| r.degraded += 1);
-                }
-                if caching && resp.is_ok() {
-                    let mut cached = resp.clone();
-                    cached.trace = None;
-                    inner.route_cache.put(plan.fingerprint(), limit, cached);
-                }
-                (resp, guests)
-            }
-            Err(e) => fail(
-                ErrorBody::new(
-                    codes::WORKER_UNAVAILABLE,
-                    format!("no worker holding {cover:?} answered: {e}"),
-                ),
-                guests,
-            ),
-        };
-    }
-
-    // Scatter-gather: split per value dimension, grouping values whose
-    // sub-covers land on the same worker.
-    struct Group {
-        /// Failover-ordered candidate workers able to answer every value
-        /// in the group (the chosen primary is first).
-        candidates: Vec<usize>,
-        /// Indices into `spec.values`.
-        values: Vec<usize>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    for (vi, value) in canonical.values.iter().enumerate() {
-        let sub_query = Query {
-            domains: canonical.domains.clone(),
-            values: vec![value.clone()],
-        };
-        // Reference sub-plan on the combined catalog: what a single
-        // process would derive for this value alone.
-        let sub_plan = {
-            let planning = inner.topology.planning();
-            let key = match PlanKey::new(&sub_query, window, step) {
-                Some(key) => key,
-                None => unreachable!("knobs validated above"),
-            };
-            match inner.plan_cache.get(&key) {
-                Some(plan) => plan,
-                None => {
-                    let engine = QueryEngine::with_config(&planning.catalog, route_engine.clone());
-                    match engine.solve(&sub_query) {
-                        Ok(plan) => inner.plan_cache.insert(key, plan),
-                        Err(e) => {
-                            return fail(
-                                ErrorBody::new(
-                                    codes::NO_ROUTE,
-                                    format!(
-                                        "value `{}` is not derivable on its own: {e}",
-                                        value.dimension
-                                    ),
-                                ),
-                                guests,
-                            )
-                        }
-                    }
-                }
-            }
-        };
-        // Routability: which workers reproduce that exact plan from
-        // their own shard (plan-fingerprint equality, not merely
-        // holding the cover — see `topology`).
-        let sub_key = format!("{}|{}", canonical.domains.join(","), value.dimension);
-        let (sub_live, sub_any) = inner.topology.local_solvers(
-            &sub_query,
-            &route_engine,
-            sub_plan.fingerprint(),
-            &sub_key,
-        );
-        if sub_live.is_empty() {
-            return if sub_any.is_empty() {
-                let sub_cover: Vec<&str> = sub_plan.loads();
-                fail(
-                    ErrorBody::new(
-                        codes::NO_ROUTE,
-                        format!(
-                            "deriving value `{}` needs datasets {sub_cover:?} on one worker, \
-                             but no shard reproduces that derivation locally; co-locate them \
-                             or raise the partitioner's --replicas",
-                            value.dimension
-                        ),
-                    ),
-                    guests,
-                )
-            } else {
-                fail(
-                    ErrorBody::new(
-                        codes::WORKER_UNAVAILABLE,
-                        format!(
-                            "every worker able to derive value `{}` is marked down",
-                            value.dimension
-                        ),
-                    ),
-                    guests,
-                )
-            };
-        }
-        // Prefer a worker already receiving a sub-query, minimizing
-        // fan-out width.
-        let chosen = sub_live
-            .iter()
-            .copied()
-            .find(|w| groups.iter().any(|g| g.candidates.first() == Some(w)))
-            .unwrap_or(sub_live[0]);
-        match groups
-            .iter_mut()
-            .find(|g| g.candidates.first() == Some(&chosen))
-        {
-            Some(group) => {
-                group.values.push(vi);
-                // A failover target must be able to answer the whole
-                // group: intersect with this value's live holders.
-                group
-                    .candidates
-                    .retain(|c| *c == chosen || sub_live.contains(c));
-            }
-            None => {
-                let mut candidates = vec![chosen];
-                candidates.extend(sub_live.into_iter().filter(|w| *w != chosen));
-                groups.push(Group {
-                    candidates,
-                    values: vec![vi],
-                });
-            }
-        }
-    }
-
-    if groups.len() > 1 {
-        inner.metrics.update(|r| r.scatter_gather_queries += 1);
-    }
-
-    // Fan out: one thread per group, each with its own failover budget.
-    let results: Vec<(Result<Response, String>, Guests)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, group)| {
-                let spec = &spec;
-                scope.spawn(move || {
-                    let mut sub_spec = QuerySpec {
-                        domains: spec.domains.clone(),
-                        values: group
-                            .values
-                            .iter()
-                            .map(|&vi| spec.values[vi].clone())
-                            .collect(),
-                        window_secs: spec.window_secs,
-                        step_secs: spec.step_secs,
-                        limit: Some(inner.config.fanout_limit),
-                    };
-                    sub_spec.window_secs = Some(window);
-                    sub_spec.step_secs = Some(step);
-                    let sub = sub_request(job, &format!("{}.g{gi}", job.query_id), sub_spec);
-                    let mut guests = Guests::new();
-                    let result = call_with_failover(
-                        inner,
-                        &group.candidates,
-                        &sub,
-                        job.deadline,
-                        trace,
-                        &mut guests,
-                    );
-                    (result, guests)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out thread"))
-            .collect()
-    });
-
-    let mut partials = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let mut worst_failure: Option<sjdf::FailureReport> = None;
-    let mut any_degraded = false;
-    for (gi, (result, sub_guests)) in results.into_iter().enumerate() {
-        guests.extend(sub_guests);
-        match result {
-            Ok(resp) => {
-                if resp.is_degraded() {
-                    any_degraded = true;
-                }
-                if let Some(f) = resp.failure {
-                    worst_failure = Some(f);
-                }
-                match resp.result {
-                    Some(result) => partials.push(result),
-                    None => failures.push(format!(
-                        "sub-query {gi}: {}",
-                        resp.error
-                            .map(|e| format!("{}: {}", e.code, e.message))
-                            .unwrap_or_else(|| resp.status.clone())
-                    )),
-                }
-            }
-            Err(e) => failures.push(format!("sub-query {gi}: {e}")),
-        }
-    }
-
-    if partials.is_empty() {
-        return fail(
-            ErrorBody::new(
-                codes::WORKER_UNAVAILABLE,
-                format!(
-                    "all scatter-gather sub-queries failed: {}",
-                    failures.join("; ")
-                ),
-            ),
-            guests,
-        );
-    }
-
-    let mut merged = match crate::merge::natural_join(partials) {
-        Ok(merged) => merged,
-        Err(e) => {
-            return fail(
-                ErrorBody::new(codes::EXEC_FAILED, format!("scatter-gather merge: {e}")),
-                guests,
-            )
-        }
-    };
-    // Canonical order: the query's domains first, then its values, rows
-    // sorted — deterministic regardless of which worker answered first.
-    let mut preferred = canonical.domains.clone();
-    preferred.extend(canonical.values.iter().map(|v| v.dimension.clone()));
-    crate::merge::canonicalize(&mut merged, &preferred);
-    merged.row_count = merged.rows.len();
-    if merged.rows.len() > limit {
-        merged.rows.truncate(limit);
-        merged.truncated = true;
-    }
-    merged.elapsed_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-
-    let response = if failures.is_empty() && !any_degraded {
-        let mut r = Response::ok(&id);
-        r.result = Some(merged);
-        if caching {
-            inner.route_cache.put(plan.fingerprint(), limit, r.clone());
-        }
-        r
-    } else {
-        inner.metrics.update(|r| r.degraded += 1);
-        let detail = if failures.is_empty() {
-            "a shard answered degraded".to_string()
-        } else {
-            failures.join("; ")
-        };
-        let mut r = Response::degraded(
-            &id,
-            ErrorBody::new(codes::DEGRADED, format!("partial merge: {detail}")),
-            worst_failure.unwrap_or_default(),
-        );
-        r.result = Some(merged);
-        r
-    };
-    (response, guests)
+    let plan =
+        QueryEngine::with_config(&planning.catalog, route_engine.clone()).solve(&canonical)?;
+    Ok((canonical, inner.plan_cache.insert(key, plan), false))
 }
 
 /// Build the request forwarded to a worker: fresh id under the router's
@@ -1270,8 +845,7 @@ fn call_with_failover(
     candidates: &[usize],
     request: &Request,
     deadline: Instant,
-    trace: Option<(SpanId, SpanId)>,
-    guests: &mut Guests,
+    trace: &mut JobTrace,
 ) -> Result<Response, String> {
     let tracer = inner.ctx.tracer();
     let mut last_err = "no candidate workers".to_string();
@@ -1279,7 +853,9 @@ fn call_with_failover(
         if attempt > 0 {
             inner.metrics.update(|r| r.failovers += 1);
         }
-        let mut span = trace.map(|(parent, root)| tracer.child_span("worker_call", parent, root));
+        let mut span = trace
+            .parent
+            .map(|(parent, root)| tracer.child_span("worker_call", parent, root));
         if let Some(s) = span.as_mut() {
             s.set_detail(format!(
                 "worker={idx} addr={} attempt={attempt}",
@@ -1294,7 +870,7 @@ fn call_with_failover(
                         s.fail();
                     }
                     if let Some(spans) = worker_spans {
-                        guests.push((s.id(), spans));
+                        trace.guests.push((s.id(), spans));
                     }
                 }
                 return Ok(resp);

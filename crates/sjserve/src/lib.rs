@@ -7,13 +7,21 @@
 //! the derivation search's results **warm**, and multiplex many small
 //! queries over the same in-memory state. This crate provides that shape:
 //!
-//! - [`service::QueryService`] — owns the catalog, an admission-controlled
-//!   scheduler, and a two-level cache (solved [`Plan`]s keyed by
-//!   normalized query, materialized results keyed by plan fingerprint).
+//! - [`front::Front`] — the admission front both daemons run: the
+//!   protocol check, the inline verbs, admission through the
+//!   [`scheduler`], deadlines, query ids, request traces, the one check
+//!   of a `query` payload, and request accounting. A daemon plugs in a
+//!   [`front::Backend`] for what is its own.
+//! - [`service::QueryService`] — the worker: the front over a backend
+//!   that owns the catalog and a two-level cache (solved [`Plan`]s keyed
+//!   by normalized query, materialized results keyed by plan
+//!   fingerprint), plus the stream engine behind `append` and standing
+//!   queries. `sjrouted`'s router is the same front over another backend.
 //! - [`server`] — the TCP front end speaking framed `sjwire` with
-//!   columnar payloads (`query` / `explain` / `stats` / `health` /
-//!   `shutdown` verbs, the last from loopback peers only) with one
-//!   thread per connection and a bounded worker pool behind it.
+//!   columnar payloads, one thread per connection. The verbs are
+//!   `query` (with `subscribe: true`, a standing query), `explain`,
+//!   `append`, `stats`, `health`, `catalog` and `shutdown`, the last from
+//!   loopback peers only.
 //! - [`client::Client`] — the typed blocking client `sjq --server` uses.
 //! - [`metrics::Registry`] — the one metrics registry both daemons
 //!   report into. Its schema is the daemon's own `stats` payload
@@ -24,15 +32,15 @@
 //!
 //! Admission control is deliberately simple and fully structural: a
 //! bounded queue (excess requests are rejected immediately with a
-//! machine-readable error), a fixed-size worker pool, per-tenant
-//! round-robin dispatch so one chatty tenant cannot starve the rest, and
-//! per-request deadlines enforced both at dequeue and while the client
-//! waits.
+//! machine-readable error), a fixed-size pool, per-tenant round-robin
+//! dispatch so one chatty tenant cannot starve the rest, and per-request
+//! deadlines enforced both at dequeue and while the client waits.
 //!
 //! [`Plan`]: sjcore::engine::Plan
 
 pub mod cache;
 pub mod client;
+pub mod front;
 pub mod metrics;
 pub mod protocol;
 pub mod scheduler;
@@ -41,13 +49,12 @@ pub mod service;
 pub mod wire;
 
 pub use client::{Client, ClientError};
+pub use front::{Backend, Front};
 pub use metrics::{Registry, RouterStatsReport, StatsReport, StreamStatsReport, WorkerSummary};
 pub use protocol::{
     AppendAck, CatalogInfo, DatasetDesc, ErrorBody, HealthReport, QuerySpec, Request, Response,
     SubscriptionAck, ValueSpec, Verb, PROTO_VERSION,
 };
 pub use scheduler::SchedulerConfig;
-pub use server::{
-    serve, serve_until_shutdown, wait_ready, EmissionSink, RequestHandler, ServerHandle,
-};
-pub use service::{QueryService, ServiceConfig};
+pub use server::{serve, serve_until_shutdown, wait_ready, EmissionSink, ServerHandle};
+pub use service::{QueryService, ServiceConfig, WorkerBackend};

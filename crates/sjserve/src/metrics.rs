@@ -9,7 +9,9 @@
 //! the per-tenant table sit under the same mutex, so every snapshot is
 //! consistent: a request is never counted as finished without its
 //! latency. That mutex is a leaf lock — callers compute every value
-//! first and a closure only assigns fields.
+//! first and a closure only assigns fields. The request counters, queue
+//! gauges and latency readings both reports carry are the admission
+//! front's ([`FrontReport`]); the rest is each daemon's own.
 //!
 //! The histogram is log-linear over microseconds: exact below 16µs,
 //! then 16 linear sub-buckets per power of two up to 2^44µs (~200
@@ -21,6 +23,8 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+
+use crate::protocol::Response;
 
 /// Sub-buckets per power of two, as bits: below `SUB` µs every value
 /// has its own bucket.
@@ -271,12 +275,6 @@ impl StreamStatsReport {
 }
 
 impl StatsReport {
-    /// Set the queue-depth gauge and raise its high-water mark.
-    pub fn note_queue_depth(&mut self, depth: usize) {
-        self.queue_depth = depth as u64;
-        self.queue_depth_peak = self.queue_depth_peak.max(self.queue_depth);
-    }
-
     /// The streaming section, created on first use.
     pub fn stream(&mut self) -> &mut StreamStatsReport {
         self.streaming
@@ -428,6 +426,8 @@ pub struct RouterStatsReport {
     /// Queries answered `degraded` (partial scatter-gather, failed
     /// failover, or a worker's own degraded answer passed through).
     pub degraded: u64,
+    /// Every answered request is timed, so this equals `requests_ok +
+    /// requests_error`.
     pub route_latency_count: u64,
     pub route_latency_ms_p50: f64,
     pub route_latency_ms_p99: f64,
@@ -460,20 +460,29 @@ pub struct RouterStatsReport {
     /// merge re-forms over the survivors.
     #[serde(default)]
     pub stream_worker_losses: u64,
+    /// Requests the router answered, of every verb (the same count a
+    /// worker keeps).
+    #[serde(default)]
+    pub requests_total: u64,
+    #[serde(default)]
+    pub requests_ok: u64,
+    #[serde(default)]
+    pub requests_error: u64,
+    /// Requests currently being routed on the pool.
+    #[serde(default)]
+    pub in_flight: u64,
     pub workers: Vec<WorkerSummary>,
     pub per_tenant: Vec<TenantStats>,
 }
 
 impl RouterStatsReport {
-    /// Set the queue-depth gauge and raise its high-water mark.
-    pub fn note_queue_depth(&mut self, depth: usize) {
-        self.queue_depth = depth as u64;
-        self.queue_depth_peak = self.queue_depth_peak.max(self.queue_depth);
-    }
-
     /// Multi-line human-readable rendering (the shutdown dump).
     pub fn render(&self) -> String {
         let mut out = String::new();
+        out.push_str(&format!(
+            "requests: {} total, {} ok, {} error, in-flight {}\n",
+            self.requests_total, self.requests_ok, self.requests_error, self.in_flight
+        ));
         out.push_str(&format!(
             "routed: {} queries ({} scatter-gather), {} degraded, {} rejected (queue full), {} timed out\n",
             self.routed_queries, self.scatter_gather_queries, self.degraded,
@@ -492,7 +501,7 @@ impl RouterStatsReport {
             self.route_cache_evictions
         ));
         out.push_str(&format!(
-            "route latency: p50 {:.2}ms, p99 {:.2}ms, max {:.2}ms over {} queries\n",
+            "route latency: p50 {:.2}ms, p99 {:.2}ms, max {:.2}ms over {} requests\n",
             self.route_latency_ms_p50,
             self.route_latency_ms_p99,
             self.route_latency_ms_max,
@@ -530,6 +539,100 @@ impl RouterStatsReport {
             ));
         }
         out
+    }
+}
+
+/// The fields of a daemon's report that the admission front
+/// ([`crate::front`]) keeps: request outcomes, admission rejections,
+/// timeouts, queue gauges, transport and tenant accounting. Both reports
+/// carry them under the same names.
+pub struct FrontCounters<'a> {
+    pub uptime_ms: &'a mut u64,
+    pub requests_total: &'a mut u64,
+    pub requests_ok: &'a mut u64,
+    pub requests_error: &'a mut u64,
+    pub rejected_queue_full: &'a mut u64,
+    pub timeouts: &'a mut u64,
+    pub in_flight: &'a mut u64,
+    pub queue_depth: &'a mut u64,
+    pub queue_depth_peak: &'a mut u64,
+    pub requests_binary: &'a mut u64,
+    pub per_tenant: &'a mut Vec<TenantStats>,
+}
+
+/// A report the admission front can keep: [`StatsReport`] for a worker,
+/// [`RouterStatsReport`] for a router.
+pub trait FrontReport: Default + Clone + Send + 'static {
+    fn front(&mut self) -> FrontCounters<'_>;
+    /// Copy the readings of the request-latency histogram.
+    fn set_latency(&mut self, latency: &Histogram);
+    /// Put the report on a `stats` response.
+    fn attach(self, response: &mut Response);
+
+    /// Set the queue-depth gauge and raise its high-water mark.
+    fn note_queue_depth(&mut self, depth: usize) {
+        let c = self.front();
+        *c.queue_depth = depth as u64;
+        *c.queue_depth_peak = (*c.queue_depth_peak).max(depth as u64);
+    }
+}
+
+impl FrontReport for StatsReport {
+    fn front(&mut self) -> FrontCounters<'_> {
+        FrontCounters {
+            uptime_ms: &mut self.uptime_ms,
+            requests_total: &mut self.requests_total,
+            requests_ok: &mut self.requests_ok,
+            requests_error: &mut self.requests_error,
+            rejected_queue_full: &mut self.rejected_queue_full,
+            timeouts: &mut self.timeouts,
+            in_flight: &mut self.in_flight,
+            queue_depth: &mut self.queue_depth,
+            queue_depth_peak: &mut self.queue_depth_peak,
+            requests_binary: &mut self.requests_binary,
+            per_tenant: &mut self.per_tenant,
+        }
+    }
+
+    fn set_latency(&mut self, latency: &Histogram) {
+        self.latency_count = latency.count();
+        self.latency_ms_p50 = latency.quantile_ms(0.50);
+        self.latency_ms_p90 = latency.quantile_ms(0.90);
+        self.latency_ms_p99 = latency.quantile_ms(0.99);
+        self.latency_ms_max = latency.max_ms();
+    }
+
+    fn attach(self, response: &mut Response) {
+        response.stats = Some(self);
+    }
+}
+
+impl FrontReport for RouterStatsReport {
+    fn front(&mut self) -> FrontCounters<'_> {
+        FrontCounters {
+            uptime_ms: &mut self.uptime_ms,
+            requests_total: &mut self.requests_total,
+            requests_ok: &mut self.requests_ok,
+            requests_error: &mut self.requests_error,
+            rejected_queue_full: &mut self.rejected_queue_full,
+            timeouts: &mut self.timeouts,
+            in_flight: &mut self.in_flight,
+            queue_depth: &mut self.queue_depth,
+            queue_depth_peak: &mut self.queue_depth_peak,
+            requests_binary: &mut self.requests_binary,
+            per_tenant: &mut self.per_tenant,
+        }
+    }
+
+    fn set_latency(&mut self, latency: &Histogram) {
+        self.route_latency_count = latency.count();
+        self.route_latency_ms_p50 = latency.quantile_ms(0.50);
+        self.route_latency_ms_p99 = latency.quantile_ms(0.99);
+        self.route_latency_ms_max = latency.max_ms();
+    }
+
+    fn attach(self, response: &mut Response) {
+        response.router_stats = Some(self);
     }
 }
 
@@ -793,6 +896,49 @@ mod tests {
         assert!(s
             .render()
             .contains("traces: 2 recorded (17 spans), 3 spans dropped"));
+    }
+
+    #[test]
+    fn front_counters_land_in_both_reports() {
+        fn count<R: FrontReport>(m: &Registry<R>) -> R {
+            m.update(|r| *r.front().requests_total += 3);
+            m.update(|r| *r.front().in_flight += 1);
+            m.finished(Duration::from_millis(4), |r| *r.front().requests_ok += 1);
+            m.finished(Duration::from_millis(6), |r| *r.front().requests_error += 1);
+            m.snapshot(|r, latency, _| r.set_latency(latency))
+        }
+        let w = count(&Registry::<StatsReport>::new());
+        let r = count(&Registry::<RouterStatsReport>::new());
+        let counted =
+            |total, ok, error, in_flight, timed, max| (total, ok, error, in_flight, timed, max);
+        assert_eq!(
+            counted(
+                w.requests_total,
+                w.requests_ok,
+                w.requests_error,
+                w.in_flight,
+                w.latency_count,
+                w.latency_ms_max
+            ),
+            (3, 1, 1, 1, 2, 6.0)
+        );
+        assert_eq!(
+            counted(
+                r.requests_total,
+                r.requests_ok,
+                r.requests_error,
+                r.in_flight,
+                r.route_latency_count,
+                r.route_latency_ms_max
+            ),
+            (3, 1, 1, 1, 2, 6.0)
+        );
+        assert!(r
+            .render()
+            .starts_with("requests: 3 total, 1 ok, 1 error, in-flight 1\n"));
+        let mut response = Response::ok("s");
+        r.clone().attach(&mut response);
+        assert_eq!((response.router_stats, response.stats), (Some(r), None));
     }
 
     #[test]

@@ -47,6 +47,19 @@ pub enum Verb {
     Shutdown,
 }
 
+impl Verb {
+    /// Every verb, in declaration order.
+    pub const ALL: [Verb; 7] = [
+        Verb::Query,
+        Verb::Explain,
+        Verb::Append,
+        Verb::Stats,
+        Verb::Health,
+        Verb::Catalog,
+        Verb::Shutdown,
+    ];
+}
+
 /// One requested value dimension, optionally units-constrained.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ValueSpec {
@@ -272,6 +285,21 @@ impl ErrorBody {
     }
 }
 
+/// A planning error as both daemons answer it: `no_solution` and
+/// `search_truncated` keep their codes, and anything else is the query's
+/// fault.
+impl From<sjcore::SjError> for ErrorBody {
+    fn from(e: sjcore::SjError) -> Self {
+        match e {
+            sjcore::SjError::NoSolution(msg) => ErrorBody::new(codes::NO_SOLUTION, msg),
+            e @ sjcore::SjError::SearchTruncated { .. } => {
+                ErrorBody::new(codes::SEARCH_TRUNCATED, e.to_string())
+            }
+            e => ErrorBody::new(codes::BAD_REQUEST, e.to_string()),
+        }
+    }
+}
+
 /// Executed-query payload: the derived dataset plus cache/latency facts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryResult {
@@ -305,6 +333,18 @@ pub struct PlanInfo {
     /// result-cache key.
     pub fingerprint: u64,
     pub plan_cache_hit: bool,
+}
+
+impl PlanInfo {
+    /// The `explain` payload for `plan`.
+    pub fn new(plan: &sjcore::engine::Plan, plan_cache_hit: bool) -> Self {
+        PlanInfo {
+            plan_json: plan.to_json(),
+            plan_text: plan.describe(),
+            fingerprint: plan.fingerprint(),
+            plan_cache_hit,
+        }
+    }
 }
 
 /// `health` payload.

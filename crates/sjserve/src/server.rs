@@ -1,10 +1,13 @@
 //! The TCP front end: framed sjwire with the columnar codec, the one
 //! transport both daemons speak.
 //!
-//! One accept thread, one handler thread per connection, std networking
-//! only. A connection opens with a [`sjwire::Hello`] /
-//! [`sjwire::HelloAck`] exchange pinning the wire version and the
-//! `columnar` payload codec; every subsequent message is one
+//! [`serve`] puts a daemon's [`Front`] on a socket: a worker's
+//! [`QueryService`] or a router. One accept thread, one handler thread
+//! per connection, std networking only; every decoded request goes to
+//! [`Front::handle_streaming`] with the connection's [`EmissionSink`].
+//! A connection opens with a [`sjwire::Hello`] / [`sjwire::HelloAck`]
+//! exchange pinning the wire version and the `columnar` payload codec;
+//! every subsequent message is one
 //! CRC-checked frame whose payload is a JSON envelope plus columnar row
 //! sections (see [`crate::wire`]). A peer whose first byte is not
 //! [`sjwire::MAGIC`] gets one plain-text line naming the protocol, and
@@ -18,7 +21,7 @@
 //! once framing is suspect there is no safe resync point.
 //!
 //! A `shutdown` request from a loopback peer acknowledges, then stops
-//! the accept loop, the worker pool, and dumps the final metrics
+//! the accept loop, the daemon's pool, and dumps the final metrics
 //! snapshot to stderr — the service equivalent of a batch tool printing
 //! its summary on exit. From any other peer it is refused with
 //! `bad_request` and the daemon keeps serving.
@@ -29,16 +32,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::protocol::{codes, ErrorBody, Request, Response, Verb, WireInfo};
-use crate::service::QueryService;
+use crate::front::{Backend, Front};
+use crate::protocol::{codes, ErrorBody, Response, Verb, WireInfo};
+use crate::service::{QueryService, WorkerBackend};
 use crate::wire::{decode_request, encode_response};
 use sjwire::{negotiate, read_frame, write_frame, Hello, MsgType, WireError};
 
 /// Where unsolicited frames (standing-query window emissions) for one
 /// connection are pushed. The TCP front end hands every connection's
-/// sink to [`RequestHandler::handle_streaming`]; a service that
-/// registers subscriptions holds on to the sink and pushes frames to it
-/// whenever appends ripen a window. A `send` error means the client is
+/// sink to [`Front::handle_streaming`]; a backend that registers
+/// subscriptions holds on to the sink and pushes frames to it whenever
+/// appends ripen a window. A `send` error means the client is
 /// gone — the service should drop every subscription bound to the sink.
 pub trait EmissionSink: Send + Sync {
     /// Push one frame to the client, blocking until written.
@@ -68,89 +72,29 @@ impl EmissionSink for BinarySink {
     }
 }
 
-/// Anything the TCP front end can serve: the query service itself, or a
-/// router fronting a fleet of them. Handles are cheap clones sharing one
-/// backend; `shutdown` stops the backend and returns its final summary
-/// (a [`StatsReport`](crate::metrics::StatsReport) for workers, a
-/// [`RouterStatsReport`](crate::metrics::RouterStatsReport) for routers).
-pub trait RequestHandler: Clone + Send + 'static {
-    /// Final metrics summary produced when the backend stops.
-    type Summary;
-
-    /// Answer one request, blocking until the response is ready.
-    fn handle(&self, request: Request) -> Response;
-
-    /// Answer one request on a streaming-capable transport: `sink` can
-    /// deliver unsolicited frames for the rest of the connection's
-    /// life. The default ignores the sink, which makes `subscribe:
-    /// true` fail with [`codes::STREAM_UNSUPPORTED`] in handlers that
-    /// don't override this (e.g. a router).
-    fn handle_streaming(&self, request: Request, sink: &Arc<dyn EmissionSink>) -> Response {
-        let _ = sink;
-        self.handle(request)
-    }
-
-    /// The connection owning `sink` ended; drop any state bound to it
-    /// (subscriptions). Default: nothing to drop.
-    fn connection_closed(&self, sink: &Arc<dyn EmissionSink>) {
-        let _ = sink;
-    }
-
-    /// One request arrived over the wire. Called by the front end
-    /// before dispatch so the transport counter reaches the stats
-    /// report. Default: not counted.
-    fn protocol_request(&self) {}
-
-    /// Stop the backend's own workers and return the final summary.
-    fn shutdown(&self) -> Self::Summary;
-}
-
-impl RequestHandler for QueryService {
-    type Summary = crate::metrics::StatsReport;
-
-    fn handle(&self, request: Request) -> Response {
-        QueryService::handle(self, request)
-    }
-
-    fn handle_streaming(&self, request: Request, sink: &Arc<dyn EmissionSink>) -> Response {
-        QueryService::handle_streaming(self, request, sink)
-    }
-
-    fn connection_closed(&self, sink: &Arc<dyn EmissionSink>) {
-        QueryService::connection_closed(self, sink)
-    }
-
-    fn protocol_request(&self) {
-        QueryService::note_protocol_request(self)
-    }
-
-    fn shutdown(&self) -> Self::Summary {
-        QueryService::shutdown(self)
-    }
-}
-
 /// Handle to a running server; dropping it does NOT stop the server —
 /// call [`ServerHandle::stop`] (or send a `shutdown` request).
-pub struct ServerHandle<H: RequestHandler = QueryService> {
+pub struct ServerHandle<B: Backend = WorkerBackend> {
     /// The bound address (useful with port 0).
     pub addr: SocketAddr,
-    service: H,
+    service: Front<B>,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl<H: RequestHandler> ServerHandle<H> {
+impl<B: Backend> ServerHandle<B> {
     /// Block until the accept loop exits (i.e. until a `shutdown`
-    /// request arrives or [`ServerHandle::stop`] is called elsewhere).
-    pub fn wait(mut self) -> H::Summary {
+    /// request arrives or [`ServerHandle::stop`] is called elsewhere),
+    /// then stop the daemon and return its final report.
+    pub fn wait(mut self) -> B::Report {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
         self.service.shutdown()
     }
 
-    /// Stop accepting, stop the workers, and return the final metrics.
-    pub fn stop(mut self) -> H::Summary {
+    /// Stop accepting, stop the daemon, and return its final report.
+    pub fn stop(mut self) -> B::Report {
         self.shutdown.store(true, Ordering::Release);
         // Nudge the blocking accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -161,8 +105,14 @@ impl<H: RequestHandler> ServerHandle<H> {
     }
 }
 
-/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve `service` on it.
-pub fn serve<H: RequestHandler>(service: H, addr: &str) -> std::io::Result<ServerHandle<H>> {
+/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve a daemon's front on it:
+/// a [`QueryService`], or anything that converts into a front, such as a
+/// router.
+pub fn serve<B: Backend>(
+    service: impl Into<Front<B>>,
+    addr: &str,
+) -> std::io::Result<ServerHandle<B>> {
+    let service = service.into();
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -181,10 +131,10 @@ pub fn serve<H: RequestHandler>(service: H, addr: &str) -> std::io::Result<Serve
     })
 }
 
-fn accept_loop<H: RequestHandler>(
+fn accept_loop<B: Backend>(
     listener: TcpListener,
     addr: SocketAddr,
-    service: H,
+    service: Front<B>,
     shutdown: Arc<AtomicBool>,
 ) {
     for stream in listener.incoming() {
@@ -265,10 +215,10 @@ fn may_shutdown(peer: Option<IpAddr>) -> bool {
     peer.is_some_and(|ip| ip.to_canonical().is_loopback())
 }
 
-fn handle_connection<H: RequestHandler>(
+fn handle_connection<B: Backend>(
     mut stream: TcpStream,
     addr: SocketAddr,
-    service: H,
+    service: Front<B>,
     shutdown: Arc<AtomicBool>,
 ) {
     configure_accepted(&stream);
@@ -323,7 +273,7 @@ fn handle_connection<H: RequestHandler>(
         let (mut response, framing_broken) = match read_frame(&mut reader) {
             Ok(f) if f.msg_type == MsgType::Request => match decode_request(&f.payload) {
                 Ok(request) if request.verb == Verb::Shutdown && !may_shutdown(peer) => {
-                    service.protocol_request();
+                    service.note_protocol_request();
                     let refusal = ErrorBody::new(
                         codes::BAD_REQUEST,
                         "shutdown is accepted from loopback peers only",
@@ -331,7 +281,7 @@ fn handle_connection<H: RequestHandler>(
                     (Response::fail(&request.id, refusal), false)
                 }
                 Ok(request) => {
-                    service.protocol_request();
+                    service.note_protocol_request();
                     let verb = request.verb;
                     let mut response = service.handle_streaming(request, &sink);
                     // So `sjq --stats`/`--health` show the negotiated wire.
@@ -340,7 +290,7 @@ fn handle_connection<H: RequestHandler>(
                     }
                     if verb == Verb::Shutdown {
                         let _ = frames.write(MsgType::Response, &mut response);
-                        service.connection_closed(&sink);
+                        service.backend().connection_closed(&sink);
                         shutdown.store(true, Ordering::Release);
                         // Nudge accept() so the loop observes the flag.
                         let _ = TcpStream::connect(addr);
@@ -386,7 +336,7 @@ fn handle_connection<H: RequestHandler>(
             break;
         }
     }
-    service.connection_closed(&sink);
+    service.backend().connection_closed(&sink);
 }
 
 /// Convenience for binaries: serve until shutdown, then dump metrics to

@@ -84,8 +84,11 @@ PARTITION OPTIONS:
                     ring order (default 1; 0 disables failover)
 
 PROTOCOL:
-  identical to sjserved — clients cannot tell a router from a worker
-  (verbs: query | explain | stats | health | catalog | shutdown).
+  identical to sjserved (sjwire binary frames, columnar codec) —
+  clients cannot tell a router from a worker except by `stats`
+  verbs: query | explain | append | stats | health | catalog | shutdown
+  (shutdown from loopback peers only; appends reach every live worker
+  holding the dataset)
 ";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -249,6 +252,25 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sjserve::Verb;
+
+    #[test]
+    fn usage_names_every_verb() {
+        let listed: Vec<&str> = USAGE
+            .lines()
+            .find_map(|line| line.trim().strip_prefix("verbs:"))
+            .expect("USAGE has a `verbs:` line")
+            .split('|')
+            .map(str::trim)
+            .collect();
+        for verb in Verb::ALL {
+            let name = serde_json::to_string(&verb).unwrap();
+            assert!(
+                listed.contains(&name.trim_matches('"')),
+                "{name} not in {listed:?}"
+            );
+        }
+    }
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

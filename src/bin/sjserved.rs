@@ -106,10 +106,12 @@ OPTIONS:
                     (default 8)
 
 PROTOCOL:
-  newline-delimited JSON requests, one response line per request:
-    {\"id\":\"1\",\"verb\":\"query\",\"query\":{\"domains\":[\"job\",\"time\"],
-     \"values\":[{\"dimension\":\"heat\"}]}}
-  verbs: query | explain | append | stats | health | shutdown
+  sjwire binary frames: a Hello/HelloAck exchange pins the wire version
+  and the columnar codec, then each request and each response is one
+  CRC-checked frame (a JSON envelope plus columnar row sections); drive
+  it with `sjq --server` or sjserve::Client
+  verbs: query | explain | append | stats | health | catalog | shutdown
+  (shutdown from loopback peers only)
   a `query` with \"subscribe\":true registers a standing query: window
   frames are pushed on the same connection as `append` batches arrive
 ";
@@ -293,6 +295,25 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sjserve::Verb;
+
+    #[test]
+    fn usage_names_every_verb() {
+        let listed: Vec<&str> = USAGE
+            .lines()
+            .find_map(|line| line.trim().strip_prefix("verbs:"))
+            .expect("USAGE has a `verbs:` line")
+            .split('|')
+            .map(str::trim)
+            .collect();
+        for verb in Verb::ALL {
+            let name = serde_json::to_string(&verb).unwrap();
+            assert!(
+                listed.contains(&name.trim_matches('"')),
+                "{name} not in {listed:?}"
+            );
+        }
+    }
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

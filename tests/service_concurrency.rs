@@ -7,9 +7,13 @@
 
 use scrubjay::prelude::*;
 use sjdata::{dat1, Dat1Config};
+use sjroute::{Router, RouterConfig};
 use sjserve::protocol::codes;
 use sjserve::scheduler::SchedulerConfig;
-use sjserve::{serve, Client, ClientError, QueryService, QuerySpec, ServiceConfig, ValueSpec};
+use sjserve::{
+    serve, Backend, Client, ClientError, Front, QueryService, QuerySpec, RouterStatsReport,
+    ServiceConfig, StatsReport, ValueSpec,
+};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -336,15 +340,41 @@ fn health_explain_and_shutdown_over_tcp() {
 /// Every `stats` snapshot is internally consistent while requests are in
 /// flight: a request counts as finished together with its latency
 /// sample, so `latency_count == requests_ok + requests_error` always, and
-/// no request finishes before it started.
+/// no request finishes before it started. A router answers through the
+/// same front, so its `route_latency_count` obeys the same rule.
 #[test]
 fn stats_snapshots_stay_consistent_under_load() {
-    const SNAPSHOTS: usize = 20_000;
     let service = start_service(SchedulerConfig::default());
+    snapshots_stay_consistent(service, |s: &StatsReport| {
+        [
+            s.latency_count,
+            s.requests_ok,
+            s.requests_error,
+            s.requests_total,
+        ]
+    });
+
+    let worker = serve(start_service(SchedulerConfig::default()), "127.0.0.1:0").unwrap();
+    let router = Router::new(vec![worker.addr.to_string()], RouterConfig::default()).unwrap();
+    snapshots_stay_consistent(router.into(), |s: &RouterStatsReport| {
+        [
+            s.route_latency_count,
+            s.requests_ok,
+            s.requests_error,
+            s.requests_total,
+        ]
+    });
+    worker.stop();
+}
+
+/// Take 20,000 snapshots of `front` while four senders keep it busy;
+/// `read` gives a snapshot's `[latency count, ok, error, total]`.
+fn snapshots_stay_consistent<B: Backend>(front: Front<B>, read: fn(&B::Report) -> [u64; 4]) {
+    const SNAPSHOTS: usize = 20_000;
     let stop = Arc::new(AtomicBool::new(false));
     let senders: Vec<_> = (0..4)
         .map(|i| {
-            let (service, stop) = (service.clone(), Arc::clone(&stop));
+            let (front, stop) = (front.clone(), Arc::clone(&stop));
             std::thread::spawn(move || {
                 // Inline `health` (ok) and queued payload-less `query`
                 // (error) requests, so both outcome counters move.
@@ -355,7 +385,7 @@ fn stats_snapshots_stay_consistent_under_load() {
                 };
                 let mut sent = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    service.handle(sjserve::Request::bare(&format!("s{i}"), verb));
+                    front.handle(sjserve::Request::bare(&format!("s{i}"), verb));
                     sent += 1;
                 }
                 sent
@@ -363,23 +393,25 @@ fn stats_snapshots_stay_consistent_under_load() {
         })
         .collect();
     // Poll only once the senders are running.
-    while service.stats_report().requests_total < 1_000 {
+    while read(&front.stats_report())[3] < 1_000 {
         std::thread::yield_now();
     }
     let mut torn = 0usize;
     let mut first_torn = None;
     for _ in 0..SNAPSHOTS {
-        let s = service.stats_report();
-        let finished = s.requests_ok + s.requests_error;
-        if s.latency_count != finished || finished > s.requests_total {
+        let [latency_count, ok, error, total] = read(&front.stats_report());
+        if latency_count != ok + error || ok + error > total {
             torn += 1;
-            first_torn.get_or_insert((s.latency_count, s.requests_ok, s.requests_error));
+            first_torn.get_or_insert((latency_count, ok, error));
         }
     }
     stop.store(true, Ordering::Relaxed);
     let sent: u64 = senders.into_iter().map(|t| t.join().unwrap()).sum();
-    let last = service.shutdown();
-    assert!(last.requests_ok > 0 && last.requests_error > 0, "{last:?}");
+    let last = read(&front.shutdown());
+    assert!(
+        last[1] > 0 && last[2] > 0,
+        "[latency_count, ok, error, total] = {last:?}"
+    );
     assert_eq!(
         torn, 0,
         "{torn} of {SNAPSHOTS} snapshots torn over {sent} requests; \

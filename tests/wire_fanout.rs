@@ -10,7 +10,7 @@
 use sjcore::engine::{EngineConfig, Query, QueryValue};
 use sjdata::{disarray_schedule, stream_catalog, Disarray};
 use sjdf::ExecCtx;
-use sjroute::{Router, RouterConfig};
+use sjroute::{Router, RouterBackend, RouterConfig};
 use sjserve::protocol::codes;
 use sjserve::{
     serve, Client, ClientError, QueryService, QuerySpec, RouterStatsReport, ServerHandle,
@@ -47,7 +47,7 @@ fn spawn_worker() -> ServerHandle {
     .unwrap()
 }
 
-fn spawn_router(worker_addrs: Vec<String>) -> ServerHandle<Router> {
+fn spawn_router(worker_addrs: Vec<String>) -> ServerHandle<RouterBackend> {
     let config = RouterConfig {
         // Slow heartbeat: worker loss in these tests must be detected
         // on the append-forward path (which severs the feed), not raced
