@@ -1,12 +1,18 @@
-//! The router's merged-result cache.
+//! The router's answer cache.
 //!
 //! Keyed by the solved plan's fingerprint plus the effective row limit —
-//! everything that determines the merged bytes — and cleared wholesale
+//! everything that determines the answer's bytes — and cleared wholesale
 //! whenever any worker's catalog epoch changes (the router cannot know
 //! which cached results the changed shard contributed to, and epochs
 //! change rarely, so a full invalidation is both correct and cheap).
-//! A byte-budgeted [`Lru`] under [`ROUTE_CACHE_BYTES`], each answer
-//! charged its columns plus rendered rows.
+//!
+//! An entry is a ready-to-send response whose rows are one encoded
+//! section ([`Response::result_rows`]): the section a worker's
+//! single-shard answer arrived in, or a merged answer's rows encoded
+//! once. Storing or returning an entry therefore copies the small
+//! envelope and clones an `Arc`, never the rows. A byte-budgeted [`Lru`]
+//! under [`ROUTE_CACHE_BYTES`], each answer charged its column names
+//! plus its section's length.
 
 use parking_lot::Mutex;
 use sjdf::{ByteSize, CacheStats, Lru};
@@ -34,11 +40,19 @@ impl RouteCache {
         self.inner.lock().get(&(plan_fingerprint, limit)).cloned()
     }
 
-    pub fn put(&self, plan_fingerprint: u64, limit: usize, response: Response) {
+    /// Keep an answer, encoding its rows first if they are not already.
+    pub fn put(&self, plan_fingerprint: u64, limit: usize, mut response: Response) {
+        if response.result_rows.is_none() {
+            response.encode_result_rows();
+        }
         let bytes = response
             .result
             .as_ref()
-            .map_or(0, |r| r.columns.byte_size() + r.rows.byte_size());
+            .map_or(0, |r| r.columns.byte_size())
+            + response
+                .result_rows
+                .as_ref()
+                .map_or(0, |rows| rows.as_bytes().len());
         // Evicted answers are freed after the lock is released.
         let _evicted = self
             .inner

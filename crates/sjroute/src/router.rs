@@ -12,14 +12,21 @@
 //! 2. if some live worker's **own** catalog derives the whole query
 //!    with that same plan (fingerprint equality, see
 //!    [`crate::topology`]), it is forwarded there (single-shard route),
-//!    with one failover retry to the next capable worker in ring order;
+//!    with one failover retry to the next capable worker in ring order.
+//!    The router decodes only the answer's envelope: the worker's row
+//!    section is relayed as the bytes it came in
+//!    ([`Client::forward`]);
 //! 3. otherwise the query is split per value dimension, each sub-query
 //!    routed to a worker that locally reproduces *its* reference
 //!    derivation, fanned out concurrently, and the partial tables are
 //!    merged by a natural join on the query's domain columns
 //!    (scatter-gather);
-//! 4. merged `ok` responses land in a bounded route cache, invalidated
-//!    wholesale whenever any worker's catalog epoch changes.
+//! 4. `ok` answers land in a bounded route cache, rows as an encoded
+//!    section, invalidated wholesale whenever any worker's catalog epoch
+//!    changes.
+//!
+//! Every answer the router returns, relayed, merged or cached, carries
+//! the router's own request id and `elapsed_ms`.
 //!
 //! A background heartbeat probes `health` on every worker: consecutive
 //! failures mark a worker down (routing skips it until it answers
@@ -276,7 +283,7 @@ impl Backend for RouterBackend {
         let caching = !job.request.wants_trace();
         if caching {
             if let Some(mut hit) = inner.route_cache.get(plan.fingerprint(), limit) {
-                hit.id = id.clone();
+                restamp(&mut hit, job);
                 if let Some(result) = hit.result.as_mut() {
                     result.result_cache_hit = true;
                 }
@@ -306,7 +313,7 @@ impl Backend for RouterBackend {
             let sub = sub_request(job, &format!("{}.w", job.query_id), sub_spec);
             return match call_with_failover(inner, &live, &sub, job.deadline, trace) {
                 Ok(mut resp) => {
-                    resp.id = id.clone();
+                    restamp(&mut resp, job);
                     if resp.is_degraded() {
                         inner.metrics.update(|r| r.degraded += 1);
                     }
@@ -458,13 +465,20 @@ impl Backend for RouterBackend {
                             parent,
                             guests: Vec::new(),
                         };
+                        // The merge needs the rows: each fan-out thread
+                        // decodes its own partial.
                         let result = call_with_failover(
                             inner,
                             &group.candidates,
                             &sub,
                             job.deadline,
                             &mut trace,
-                        );
+                        )
+                        .and_then(|mut resp| {
+                            resp.decode_result_rows()
+                                .map_err(|e| format!("undecodable result rows: {e}"))?;
+                            Ok(resp)
+                        });
                         (result, trace)
                     })
                 })
@@ -538,6 +552,8 @@ impl Backend for RouterBackend {
             let mut r = Response::ok(&id);
             r.result = Some(merged);
             if caching {
+                // Encoded once, for the cache and for the client alike.
+                r.encode_result_rows();
                 inner.route_cache.put(plan.fingerprint(), limit, r.clone());
             }
             r
@@ -836,10 +852,20 @@ fn sub_request(job: &Job, sub_id: &str, spec: QuerySpec) -> Request {
     sub
 }
 
+/// Make a relayed or cached answer the router's own: the client's
+/// request id, and the router's time since admission as `elapsed_ms`.
+fn restamp(resp: &mut Response, job: &Job) {
+    resp.id = job.request.id.clone();
+    if let Some(result) = resp.result.as_mut() {
+        result.elapsed_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+    }
+}
+
 /// Try candidates in order (primary, then one replica — single-retry
-/// failover). Transport and framing errors advance to the next
-/// candidate; any structured response (ok, degraded, or a worker-side
-/// error) is final and passes through.
+/// failover), each through [`relay`], so an answer's rows arrive still
+/// encoded. Transport and framing errors advance to the next candidate;
+/// any structured response (ok, degraded, or a worker-side error) is
+/// final and passes through.
 fn call_with_failover(
     inner: &RouterInner,
     candidates: &[usize],
@@ -862,7 +888,7 @@ fn call_with_failover(
                 inner.topology.workers[idx].addr
             ));
         }
-        match dispatch(inner, idx, request, deadline) {
+        match relay(inner, idx, request, deadline) {
             Ok(mut resp) => {
                 let worker_spans = resp.trace.take().and_then(|t| t.spans);
                 if let Some(s) = span.as_mut() {
@@ -901,6 +927,36 @@ fn dispatch(
         let mut client = Client::connect_as(addr.as_str(), &request.tenant)?;
         client.set_read_timeout(Some(remaining + Duration::from_millis(500)))?;
         client.call(request)
+    })();
+    match attempt {
+        Ok(resp) => {
+            inner.topology.record_success(idx);
+            Ok(resp)
+        }
+        Err(e) => {
+            note_failure(inner, idx);
+            Err(format!("worker {addr}: {e}"))
+        }
+    }
+}
+
+/// [`dispatch`] for a query: the worker's row section stays encoded
+/// ([`Client::forward`]), for a single-shard route to pass on whole and
+/// for scatter-gather to decode before its merge. A function of its own
+/// because appends share `dispatch`, and they have nothing to keep
+/// encoded.
+fn relay(
+    inner: &RouterInner,
+    idx: usize,
+    request: &Request,
+    deadline: Instant,
+) -> Result<Response, String> {
+    let addr = inner.topology.workers[idx].addr.clone();
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    let attempt = (|| -> Result<Response, ClientError> {
+        let mut client = Client::connect_as(addr.as_str(), &request.tenant)?;
+        client.set_read_timeout(Some(remaining + Duration::from_millis(500)))?;
+        client.forward(request)
     })();
     match attempt {
         Ok(resp) => {

@@ -1,12 +1,16 @@
 //! End-to-end router behavior over real TCP workers: single-shard
 //! routing, cross-shard scatter-gather (byte-identical to single-process
-//! execution), failover to a replica, mark-down health, and
-//! epoch-driven cache invalidation.
+//! execution), failover to a replica, mark-down health, epoch-driven
+//! cache invalidation, and the router's own `elapsed_ms`.
 
 mod common;
 
+use std::time::{Duration, Instant};
+
 use common::*;
+use sjdf::FaultPlan;
 use sjserve::protocol::{codes, Request, Verb, PROTO_VERSION};
+use sjserve::service::{QueryService, ServiceConfig};
 
 /// A power-only query's cover lives on one shard: the router proxies it
 /// to the holder, the answer matches direct execution, and a repeat
@@ -223,4 +227,49 @@ fn catalog_unions_worker_shards() {
     router.shutdown();
     a.stop();
     b.stop();
+}
+
+/// A router answer carries the router's own `elapsed_ms`. Every task on
+/// the worker sleeps 50 ms, so the first routed query takes at least
+/// that long; the route-cache hit that follows must report its own time,
+/// not that of the query that filled the cache.
+#[test]
+fn router_answers_carry_the_routers_own_elapsed_ms() {
+    let ctx = ctx();
+    let slow = QueryService::new(
+        ctx.clone(),
+        catalog_with(&ctx, &["node_power"]),
+        ServiceConfig {
+            faults: Some(FaultPlan::seeded(5).with_delays(1.0, Duration::from_millis(50))),
+            ..ServiceConfig::default()
+        },
+    );
+    let a = spawn(slow);
+    let router = router_over(&[&a]);
+
+    let started = Instant::now();
+    let first = router.handle(Request::query("s1", "t", power_spec()));
+    let first_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    assert!(first.is_ok(), "{:?}", first.error);
+    let first = first.result.unwrap();
+    assert!(!first.result_cache_hit);
+    assert!(
+        (50.0..=first_wall_ms).contains(&first.elapsed_ms),
+        "the routed query took {first_wall_ms:.1} ms: {first:?}"
+    );
+
+    let started = Instant::now();
+    let hit = router.handle(Request::query("s2", "t", power_spec()));
+    let hit_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let hit = hit.result.unwrap();
+    assert!(hit.result_cache_hit, "{hit:?}");
+    assert!(
+        hit.elapsed_ms < 25.0 && hit.elapsed_ms <= hit_wall_ms,
+        "a route-cache hit reported {} ms, not its own time ({hit_wall_ms:.1} ms)",
+        hit.elapsed_ms
+    );
+    assert_eq!((hit.columns, hit.rows), (first.columns, first.rows));
+
+    router.shutdown();
+    a.stop();
 }

@@ -16,7 +16,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{ErrorBody, QuerySpec, Request, Response, Verb, WireInfo};
-use crate::wire::{decode_response, encode_request};
+use crate::wire::{decode_response, decode_response_relay, encode_request};
 use sjwire::{read_frame, write_frame, Hello, HelloAck, MsgType, WireError};
 
 /// Client-side failure: transport, framing, or a server-reported error.
@@ -158,6 +158,34 @@ impl Client {
                     )))
                 }
                 MsgType::WindowFrame => self.pending.push_back(response),
+                other => {
+                    return Err(ClientError::Protocol(format!(
+                        "unexpected {other:?} frame while awaiting a response"
+                    )))
+                }
+            }
+        }
+    }
+
+    /// Like [`Client::call`], but the response's result rows stay the
+    /// encoded section they arrived as ([`Response::result_rows`]), for
+    /// a router to write on to its own client without decoding them.
+    pub fn forward(&mut self, request: &Request) -> Result<Response, ClientError> {
+        write_frame(&mut self.writer, MsgType::Request, &encode_request(request))?;
+        loop {
+            let frame = read_frame(&mut self.reader)?;
+            match frame.msg_type {
+                MsgType::Response => {
+                    let response = decode_response_relay(&frame.payload)?;
+                    if response.id.is_empty() || response.id == request.id {
+                        return Ok(response);
+                    }
+                    return Err(ClientError::Protocol(format!(
+                        "response id `{}` does not match request id `{}`",
+                        response.id, request.id
+                    )));
+                }
+                MsgType::WindowFrame => self.pending.push_back(decode_response(&frame.payload)?),
                 other => {
                     return Err(ClientError::Protocol(format!(
                         "unexpected {other:?} frame while awaiting a response"

@@ -173,15 +173,24 @@ impl<B: Backend> Front<B> {
 
     /// Answer one request, blocking until the response is ready or the
     /// request's deadline passes. A standing query needs
-    /// [`Front::handle_streaming`]; here it is `stream_unsupported`.
+    /// [`Front::handle_streaming`]; here it is `stream_unsupported`. An
+    /// answer's rows come back rendered in `result.rows`: whatever the
+    /// backend left encoded ([`Response::result_rows`]) is decoded here.
     pub fn handle(&self, request: Request) -> Response {
-        self.dispatch(request, None)
+        let mut response = self.dispatch(request, None);
+        if let Err(e) = response.decode_result_rows() {
+            let body = ErrorBody::new(codes::EXEC_FAILED, format!("undecodable result rows: {e}"));
+            return Response::fail(&response.id, body);
+        }
+        response
     }
 
     /// Answer one request on a streaming-capable transport: like
     /// [`Front::handle`], but `subscribe: true` registers a standing
     /// query whose frames are pushed to `sink` for the rest of the
-    /// connection's life. The TCP front end uses this for every request.
+    /// connection's life, and an answer's rows may stay encoded in
+    /// [`Response::result_rows`] for the transport to write as they are.
+    /// The TCP front end uses this for every request.
     pub fn handle_streaming(&self, request: Request, sink: &Arc<dyn EmissionSink>) -> Response {
         self.dispatch(request, Some(sink))
     }

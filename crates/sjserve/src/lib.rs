@@ -14,9 +14,9 @@
 //!   [`front::Backend`] for what is its own.
 //! - [`service::QueryService`] — the worker: the front over a backend
 //!   that owns the catalog and a two-level cache (solved [`Plan`]s keyed
-//!   by normalized query, materialized results keyed by plan
-//!   fingerprint), plus the stream engine behind `append` and standing
-//!   queries. `sjrouted`'s router is the same front over another backend.
+//!   by normalized query, answers keyed by plan fingerprint and kept
+//!   encoded in wire form, see [`cache`]), plus the stream engine behind
+//!   `append` and standing queries. `sjrouted`'s router is the same front over another backend.
 //! - [`server`] — the TCP front end speaking framed `sjwire` with
 //!   columnar payloads, one thread per connection. The verbs are
 //!   `query` (with `subscribe: true`, a standing query), `explain`,

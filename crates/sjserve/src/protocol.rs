@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use sjdf::metrics::MetricsReport;
 
 use crate::metrics::{RouterStatsReport, StatsReport};
+use crate::wire::RowSection;
 
 /// The wire-protocol version this build speaks. Requests and responses
 /// carry it as `proto_version` (absent on messages from older peers);
@@ -305,7 +306,8 @@ impl From<sjcore::SjError> for ErrorBody {
 pub struct QueryResult {
     /// Column names, in schema order.
     pub columns: Vec<String>,
-    /// Row cells rendered to display form, at most `limit` rows.
+    /// Row cells rendered to display form, at most `limit` rows. Empty
+    /// while the rows travel encoded in [`Response::result_rows`].
     pub rows: Vec<Vec<String>>,
     /// Total rows the query produced (before `limit`).
     pub row_count: usize,
@@ -313,9 +315,12 @@ pub struct QueryResult {
     pub truncated: bool,
     /// The solved plan came from the plan cache.
     pub plan_cache_hit: bool,
-    /// The materialized result came from the result cache.
+    /// The answer came from a cache: the worker's result cache, or on a
+    /// router its route cache.
     pub result_cache_hit: bool,
-    /// End-to-end service latency for this request (queue + execute).
+    /// Latency of this request inside the daemon that answered it, from
+    /// admission to the answer: queue + solve + execute on a worker; on a
+    /// router, its own time, the worker hop included.
     pub elapsed_ms: f64,
     /// Dataflow activity attributed to this evaluation (absent on a
     /// result-cache hit — nothing executed).
@@ -515,6 +520,14 @@ pub struct Response {
     /// Negotiated transport of the connection this response travelled
     /// on (`stats`/`health` responses only; stamped by the front end).
     pub wire: Option<WireInfo>,
+    /// `result.rows` already encoded as a result-rows section, with
+    /// `result.rows` left empty: a worker's cached answer cut to the
+    /// request's `limit`, or the section a router relays from a worker.
+    /// Never serialized: [`crate::wire::encode_response`] writes it as
+    /// the section, and [`Front::handle`](crate::Front::handle) decodes
+    /// it back into `result.rows` for in-process callers.
+    #[serde(skip)]
+    pub result_rows: Option<RowSection>,
 }
 
 impl Response {
@@ -537,6 +550,7 @@ impl Response {
             subscription: None,
             window: None,
             wire: None,
+            result_rows: None,
         }
     }
 

@@ -6,10 +6,15 @@
 //! lifetime, shares it read-only with the pool threads, and answers what
 //! reaches it:
 //!
-//! - `query` / `explain` consult two cache levels in order: the plan
-//!   cache (memoized derivation search, keyed by normalized query +
-//!   engine knobs) and the result cache (materialized rows, keyed by plan
-//!   fingerprint). Each response reports which levels hit, its end-to-end
+//! - `query` / `explain` consult two cache levels in order (see
+//!   [`crate::cache`]): the plan cache (memoized derivation search, keyed
+//!   by normalized query + engine knobs) and the result cache (answers
+//!   keyed by plan fingerprint, each encoded once into a result-rows
+//!   section). A hit cuts the request's `limit` prefix from the section,
+//!   so the response leaves with its rows already encoded
+//!   ([`Response::result_rows`]); a miss renders and encodes the whole
+//!   answer for the cache, or only the returned prefix when the cache
+//!   cannot keep it (off, or too small). Each response reports which levels hit, its end-to-end
 //!   latency, and the dataflow metrics attributable to its evaluation;
 //! - `append` and standing queries run on a [`sjstream::StreamEngine`]
 //!   over a clone of the same catalog, which pushes window frames to the
@@ -23,7 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sjcore::cache::ResultCache;
 use sjcore::catalog::Catalog;
 use sjcore::engine::{EngineConfig, QueryEngine};
 use sjcore::SjError;
@@ -31,7 +35,7 @@ use sjdf::ExecCtx;
 use sjstream::AppendBatch;
 use sjtrace::{SpanEvent, Tracer};
 
-use crate::cache::{PlanCacheLayer, PlanKey};
+use crate::cache::{AnswerCache, PlanCacheLayer, PlanKey};
 use crate::front::{Backend, CheckedQuery, Front, JobTrace};
 use crate::metrics::{Registry, StatsReport};
 use crate::protocol::{
@@ -46,7 +50,8 @@ use crate::server::EmissionSink;
 pub struct ServiceConfig {
     /// Admission and worker-pool sizing.
     pub scheduler: SchedulerConfig,
-    /// Byte budget for the materialized-result cache.
+    /// Byte budget for the result cache, charged each answer's encoded
+    /// length; 0 turns it off.
     pub result_cache_bytes: usize,
     /// Byte budget for the dataflow stage cache (persisted partitions and
     /// auto-persisted shuffle outputs in the shared [`ExecCtx`]); applied
@@ -122,7 +127,7 @@ pub struct WorkerBackend {
     ctx: ExecCtx,
     config: ServiceConfig,
     plan_cache: PlanCacheLayer,
-    result_cache: ResultCache,
+    result_cache: AnswerCache,
     metrics: Registry<StatsReport>,
     /// Fingerprint of the served catalog (names + schemas). Routers
     /// watch it across heartbeats and invalidate their result caches
@@ -175,7 +180,7 @@ impl QueryService {
             catalog,
             ctx,
             plan_cache: PlanCacheLayer::new(),
-            result_cache: ResultCache::new(config.result_cache_bytes),
+            result_cache: AnswerCache::new(config.result_cache_bytes),
             metrics: Registry::new(),
             catalog_epoch: AtomicU64::new(epoch),
             stream: Mutex::new(stream),
@@ -252,9 +257,19 @@ impl Backend for WorkerBackend {
     fn fill_stats(&self, r: &mut StatsReport) {
         let (plan, result) = (self.plan_cache.stats(), self.result_cache.stats());
         let stage = self.ctx.stage_cache().stats();
-        let (counters, active) = {
+        let (counters, active, opened, closed) = {
             let stream = self.stream.lock();
-            (stream.counters(), stream.subscriptions().len() as u64)
+            // Subscriptions open and close under this lock, and their
+            // registry counters move with them: read those here too, so
+            // a report never counts a subscription active but not yet
+            // opened, or gone but not yet closed.
+            let (mut opened, mut closed) = (0, 0);
+            self.metrics.update(|r| {
+                let s = r.stream();
+                (opened, closed) = (s.subscriptions_opened, s.subscriptions_closed);
+            });
+            let active = stream.subscriptions().len() as u64;
+            (stream.counters(), active, opened, closed)
         };
         r.plan_cache_entries = plan.entries;
         r.plan_cache_hits = plan.hits;
@@ -277,6 +292,8 @@ impl Backend for WorkerBackend {
         s.rows_late_dropped = counters.rows_late_dropped;
         s.rows_duplicate_dropped = counters.rows_duplicate_dropped;
         s.subscriptions_active = active;
+        s.subscriptions_opened = opened;
+        s.subscriptions_closed = closed;
         s.window_emissions = counters.window_emissions;
         s.window_re_emissions = counters.window_re_emissions;
         s.incremental_recomputes = counters.incremental_recomputes;
@@ -340,12 +357,13 @@ impl Backend for WorkerBackend {
             return r;
         }
 
-        // Level 2: materialized rows keyed by plan fingerprint.
+        // Level 2: encoded answers keyed by plan fingerprint.
         let fingerprint = plan.fingerprint();
-        let (entry, result_cache_hit, engine_metrics) = match self.result_cache.get(fingerprint) {
-            Some(entry) => {
+        let limit = query.spec.limit.unwrap_or(self.config.default_limit);
+        let (answer, result_cache_hit, engine_metrics) = match self.result_cache.get(fingerprint) {
+            Some(answer) => {
                 tracer.instant("result_cache_hit", "");
-                (entry, true, None)
+                (answer, true, None)
             }
             None => {
                 tracer.instant("result_cache_miss", "");
@@ -368,37 +386,28 @@ impl Backend for WorkerBackend {
                     }
                 };
                 drop(exec_span);
-                let entry = self
+                // Render once: every row for the cache, or only the rows
+                // this request returns when the cache cannot keep them.
+                let answer = self
                     .result_cache
-                    .put(fingerprint, ds.schema().clone(), rows);
+                    .admit(fingerprint, ds.schema(), &rows, limit);
                 // Attribute the collector's growth to this evaluation.
                 // Concurrent evaluations may interleave (the collector is
                 // shared), so this is an attribution, not an isolation.
                 let mut delta = self.ctx.metrics.report().delta_since(&baseline);
                 self.metrics.update(|r| r.note_failures(&delta.failures));
                 delta.failures.query_id = Some(job.query_id.clone());
-                (entry, false, Some(delta))
+                (answer, false, Some(delta))
             }
         };
-        let (schema, rows) = &*entry;
-
-        let limit = query.spec.limit.unwrap_or(self.config.default_limit);
-        let row_count = rows.len();
-        let truncated = row_count > limit;
-        let columns: Vec<String> = schema.fields().iter().map(|f| f.name.clone()).collect();
-        let ncols = schema.len();
-        let rendered: Vec<Vec<String>> = rows
-            .iter()
-            .take(limit)
-            .map(|row| (0..ncols).map(|i| row.get(i).to_string()).collect())
-            .collect();
 
         let mut r = Response::ok(id);
+        r.result_rows = answer.rows(limit);
         r.result = Some(QueryResult {
-            columns,
-            rows: rendered,
-            row_count,
-            truncated,
+            columns: answer.columns.clone(),
+            rows: Vec::new(),
+            row_count: answer.row_count,
+            truncated: answer.row_count > limit,
             plan_cache_hit,
             result_cache_hit,
             elapsed_ms: job.enqueued.elapsed().as_secs_f64() * 1e3,
@@ -607,7 +616,7 @@ impl WorkerBackend {
     /// — so it becomes a structured `degraded` response carrying the
     /// request's fault/retry accounting. Anything else is a plain
     /// `exec_failed`. Neither outcome reaches the result cache (both
-    /// return before `put`).
+    /// return before `admit`).
     fn exec_error(
         &self,
         id: &str,

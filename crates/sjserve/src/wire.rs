@@ -26,8 +26,22 @@
 //! Empty row sets ship no section at all (the envelope already carries
 //! the empty `Vec`). Unknown section ids are skipped on decode, so a
 //! newer peer can add sections without breaking this build.
+//!
+//! Render once: a query answer's rows are usually encoded before the
+//! response exists. The worker keeps each answer as one [`RowSection`]
+//! (see [`crate::cache`]) and serves a `limit` by cutting a prefix from
+//! it, and a router relays a worker's section without decoding it
+//! ([`decode_response_relay`]). Such a response carries the section in
+//! [`Response::result_rows`], which [`encode_response`] writes in place
+//! of encoding `result.rows`.
 
-use sjwire::codec::{decode_rows, decode_str_rows, encode_rows, encode_str_rows, Reader};
+use std::sync::Arc;
+
+use sjcore::Row;
+use sjwire::codec::{
+    decode_rows, decode_str_rows, encode_rendered_rows, encode_rows, encode_str_rows,
+    str_rows_prefix, Reader,
+};
 use sjwire::WireError;
 
 use crate::protocol::{Request, Response};
@@ -45,17 +59,95 @@ fn put_section(out: &mut Vec<u8>, id: u8, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn assemble(envelope: &[u8], sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+fn assemble<B: AsRef<[u8]>>(envelope: &[u8], sections: &[(u8, B)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        4 + envelope.len() + 1 + sections.iter().map(|(_, b)| 5 + b.len()).sum::<usize>(),
+        4 + envelope.len()
+            + 1
+            + sections
+                .iter()
+                .map(|(_, b)| 5 + b.as_ref().len())
+                .sum::<usize>(),
     );
     out.extend_from_slice(&(envelope.len() as u32).to_le_bytes());
     out.extend_from_slice(envelope);
     out.push(sections.len() as u8);
     for (id, bytes) in sections {
-        put_section(&mut out, *id, bytes);
+        put_section(&mut out, *id, bytes.as_ref());
     }
     out
+}
+
+/// A [`SEC_RESULT_ROWS`] string table: rendered rows in wire form,
+/// shared without copying.
+#[derive(Clone, PartialEq)]
+pub struct RowSection(Arc<[u8]>);
+
+impl RowSection {
+    /// Encode rendered rows.
+    pub fn encode(rows: &[Vec<String>]) -> RowSection {
+        RowSection(encode_str_rows(rows).into())
+    }
+
+    /// Render the first `ncols` cells of each row and encode them: the
+    /// section [`RowSection::encode`] makes of the rendered rows.
+    pub fn render(rows: &[Row], ncols: usize) -> RowSection {
+        RowSection(encode_rendered_rows(rows, ncols).into())
+    }
+
+    /// The section's bytes, as they go on the wire.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The first `n` rows, cut from the table without decoding a cell.
+    pub fn prefix(&self, n: usize) -> Result<RowSection, WireError> {
+        Ok(RowSection(str_rows_prefix(&self.0, n)?.into()))
+    }
+
+    /// The rendered rows.
+    pub fn decode(&self) -> Result<Vec<Vec<String>>, WireError> {
+        decode_str_rows(&mut Reader::new(&self.0))
+    }
+}
+
+impl From<&[u8]> for RowSection {
+    fn from(bytes: &[u8]) -> Self {
+        RowSection(bytes.into())
+    }
+}
+
+impl std::fmt::Debug for RowSection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RowSection({} bytes)", self.0.len())
+    }
+}
+
+impl Response {
+    /// Move `result.rows` into [`Response::result_rows`], encoded: the
+    /// form an answer is cached and written in. No rows, no section.
+    pub fn encode_result_rows(&mut self) {
+        if let Some(result) = self.result.as_mut().filter(|r| !r.rows.is_empty()) {
+            let rows = std::mem::take(&mut result.rows);
+            self.result_rows = Some(RowSection::encode(&rows));
+        }
+    }
+
+    /// Decode [`Response::result_rows`] back into `result.rows`: the
+    /// form an in-process caller reads.
+    pub fn decode_result_rows(&mut self) -> Result<(), WireError> {
+        let Some(section) = self.result_rows.take() else {
+            return Ok(());
+        };
+        match self.result.as_mut() {
+            Some(result) => result.rows = section.decode()?,
+            None => return Err(orphan_result_rows()),
+        }
+        Ok(())
+    }
+}
+
+fn orphan_result_rows() -> WireError {
+    WireError::Decode("result-rows section without result envelope".into())
 }
 
 /// `(section id, section bytes)` pairs trailing the envelope.
@@ -130,6 +222,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 /// unchanged to the caller) — a multi-hundred-kilobyte result would
 /// otherwise be deep-cloned just to slim it out of the JSON.
 pub fn encode_response(resp: &mut Response) -> Vec<u8> {
+    if let Some(section) = &resp.result_rows {
+        // Encoded when the answer was made: `result.rows` is empty.
+        let envelope = serde_json::to_vec(&*resp).expect("response envelope serializes");
+        return assemble(&envelope, &[(SEC_RESULT_ROWS, section.as_bytes())]);
+    }
     let mut sections = Vec::new();
     let result_rows = resp
         .result
@@ -159,20 +256,30 @@ pub fn encode_response(resp: &mut Response) -> Vec<u8> {
 
 /// Decode a response payload produced by [`encode_response`].
 pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
+    decode_response_keeping(payload, false)
+}
+
+/// Decode a response but keep its result rows as the section they came
+/// in ([`Response::result_rows`]), unchecked: a router relays them to
+/// its client as they are, and the client's decoder checks them.
+pub fn decode_response_relay(payload: &[u8]) -> Result<Response, WireError> {
+    decode_response_keeping(payload, true)
+}
+
+fn decode_response_keeping(payload: &[u8], keep_result_rows: bool) -> Result<Response, WireError> {
     let (envelope, sections) = disassemble(payload)?;
     let mut resp: Response =
         serde_json::from_slice(envelope).map_err(|e| bad_json("response", e))?;
     for (id, bytes) in sections {
         match id {
             SEC_RESULT_ROWS => {
-                let rows = decode_str_rows(&mut Reader::new(bytes))?;
-                match resp.result.as_mut() {
-                    Some(result) => result.rows = rows,
-                    None => {
-                        return Err(WireError::Decode(
-                            "result-rows section without result envelope".into(),
-                        ))
-                    }
+                let Some(result) = resp.result.as_mut() else {
+                    return Err(orphan_result_rows());
+                };
+                if keep_result_rows {
+                    resp.result_rows = Some(bytes.into());
+                } else {
+                    result.rows = decode_str_rows(&mut Reader::new(bytes))?;
                 }
             }
             SEC_WINDOW_ROWS => {
@@ -270,6 +377,48 @@ mod tests {
         });
         let back = decode_response(&encode_response(&mut resp)).unwrap();
         assert_eq!(back, resp);
+    }
+
+    #[test]
+    fn encoded_result_rows_ship_as_the_section_they_are() {
+        let mut plain = Response::ok("q-1");
+        plain.result = Some(QueryResult {
+            columns: vec!["job".into(), "heat".into()],
+            rows: (0..50)
+                .map(|i| vec![format!("job-{}", i % 5), format!("{i}.5")])
+                .collect(),
+            row_count: 80,
+            truncated: true,
+            plan_cache_hit: true,
+            result_cache_hit: true,
+            elapsed_ms: 0.5,
+            engine_metrics: None,
+        });
+        let mut sealed = plain.clone();
+        sealed.encode_result_rows();
+        assert!(sealed.result.as_ref().unwrap().rows.is_empty());
+        let bytes = encode_response(&mut sealed);
+        assert_eq!(bytes, encode_response(&mut plain.clone()), "same bytes");
+        let (envelope, _) = disassemble(&bytes).unwrap();
+        assert!(!String::from_utf8_lossy(envelope).contains("result_rows"));
+        assert_eq!(decode_response(&bytes).unwrap(), plain);
+
+        // A relay keeps the section as it came and writes it on as is.
+        let mut relayed = decode_response_relay(&bytes).unwrap();
+        assert_eq!(relayed.result_rows, sealed.result_rows);
+        assert!(relayed.result.as_ref().unwrap().rows.is_empty());
+        assert_eq!(encode_response(&mut relayed.clone()), bytes);
+        relayed.decode_result_rows().unwrap();
+        assert_eq!(relayed, plain);
+
+        // A cut ships only its rows.
+        let mut cut = sealed.clone();
+        cut.result_rows = Some(sealed.result_rows.as_ref().unwrap().prefix(3).unwrap());
+        let back = decode_response(&encode_response(&mut cut)).unwrap();
+        assert_eq!(
+            back.result.unwrap().rows[..],
+            plain.result.unwrap().rows[..3]
+        );
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!   `Vec<Vec<String>>`): either plain length-prefixed cells or a
 //!   shared dict of distinct cell strings plus a `u32` code per cell,
 //!   picked adaptively from a sample of the data. Either way the cells
-//!   skip per-cell JSON escape/parse entirely.
+//!   skip per-cell JSON escape/parse entirely. [`encode_rendered_rows`]
+//!   makes the same table straight from `Row`s, and [`str_rows_prefix`]
+//!   cuts a table to its first rows without rendering a cell, so one
+//!   encoded answer serves every row limit.
 //! - **Values** ([`encode_value`]): a tagged binary encoding of
 //!   [`sjcore::Value`] that is *bit-exact* — float NaN payloads and
 //!   ±∞ survive, which JSON cannot do (`serde_json` renders
@@ -23,6 +26,7 @@
 //! panicking: payloads arrive from the network.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 use sjcore::column::{Column, ColumnData, ColumnarPartition, Validity};
@@ -117,8 +121,8 @@ const DICT_SAMPLE: usize = 1024;
 /// - [`STRS_PLAIN`]: one `u32` length per cell (row-major), then
 ///   `[blob_len u32]` and every cell's bytes as one contiguous UTF-8
 ///   blob, validated once on decode.
-/// - [`STRS_DICT`]: the dict (`[count u32]` + strings) and one `u32`
-///   code per cell in row-major order.
+/// - [`STRS_DICT`]: the dict (`[count u32]` + strings, in order of
+///   first use) and one `u32` code per cell in row-major order.
 ///
 /// Telemetry rows repeat node names, racks, and quantized readings
 /// heavily, so the dict is usually both smaller and cheaper than
@@ -128,60 +132,326 @@ const DICT_SAMPLE: usize = 1024;
 /// format; a misprediction costs bytes, never correctness.
 pub fn encode_str_rows(rows: &[Vec<String>]) -> Vec<u8> {
     let mut out = Vec::new();
-    let ncols = rows.first().map(Vec::len).unwrap_or(0);
-    let ragged = rows.iter().any(|r| r.len() != ncols);
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    put_str_header(&mut out, rows.iter().map(Vec::len));
+    let cells = rows.iter().flatten().map(String::as_bytes);
+    if prefers_dict(cells.clone()) {
+        put_dict_body(&mut out, cells);
+    } else {
+        put_plain_body(&mut out, cells);
+    }
+    out
+}
+
+/// The table [`encode_str_rows`] makes of `rows` rendered to display
+/// form (`ncols` cells a row, each `Value`'s `Display`), byte for byte,
+/// without a `String` per cell. Answers repeat values heavily (node
+/// names, timestamps, quantized readings) and formatting is most of
+/// what rendering costs, so a table that picks the dict body renders
+/// each distinct value once; a plain one renders every cell straight
+/// into its blob.
+pub fn encode_rendered_rows(rows: &[Row], ncols: usize) -> Vec<u8> {
+    let cells = || rows.iter().flat_map(|row| &row.values()[..ncols]);
+    let mut out = Vec::new();
+    put_str_header(&mut out, (0..rows.len()).map(|_| ncols));
+    let mut dict = RenderedDict::default();
+    let sample: Vec<u32> = cells().take(DICT_SAMPLE).map(|v| dict.code(v)).collect();
+    if dict_wins(sample.len(), dict.strings.len()) {
+        let mut codes = sample;
+        codes.extend(cells().skip(DICT_SAMPLE).map(|v| dict.code(v)));
+        let strings: Vec<&[u8]> = dict.strings.iter().map(|s| s.as_bytes()).collect();
+        put_dict(&mut out, &strings, &codes);
+    } else {
+        let mut lens: Vec<u8> = Vec::new();
+        let mut blob = String::new();
+        for value in cells() {
+            let start = blob.len();
+            write!(blob, "{value}").expect("rendering into a String");
+            lens.extend_from_slice(&((blob.len() - start) as u32).to_le_bytes());
+        }
+        out.push(STRS_PLAIN);
+        out.extend_from_slice(&lens);
+        out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        out.extend_from_slice(blob.as_bytes());
+    }
+    out
+}
+
+/// The distinct rendered strings of [`encode_rendered_rows`], numbered
+/// in order of first use, as [`encode_str_rows`] numbers its dict.
+#[derive(Default)]
+struct RenderedDict<'a> {
+    strings: Vec<String>,
+    by_string: HashMap<String, u32>,
+    by_value: HashMap<CellKey<'a>, u32>,
+}
+
+impl<'a> RenderedDict<'a> {
+    /// The code of `value`'s rendering, rendering it only the first time
+    /// the value occurs.
+    fn code(&mut self, value: &'a Value) -> u32 {
+        let key = CellKey::of(value);
+        if let Some(&code) = key.as_ref().and_then(|k| self.by_value.get(k)) {
+            return code;
+        }
+        let rendered = value.to_string();
+        let code = match self.by_string.get(&rendered) {
+            Some(&code) => code,
+            None => {
+                let code = self.strings.len() as u32;
+                self.by_string.insert(rendered.clone(), code);
+                self.strings.push(rendered);
+                code
+            }
+        };
+        if let Some(key) = key {
+            self.by_value.insert(key, code);
+        }
+        code
+    }
+}
+
+/// What a value's rendering is a function of, hashable: equal keys
+/// render equally. Lists have none and are rendered at each use.
+#[derive(PartialEq, Eq, Hash)]
+enum CellKey<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(&'a str),
+    Time(i64),
+    Span(i64, i64),
+}
+
+impl<'a> CellKey<'a> {
+    fn of(value: &'a Value) -> Option<CellKey<'a>> {
+        Some(match value {
+            Value::Null => CellKey::Null,
+            Value::Bool(b) => CellKey::Bool(*b),
+            Value::Int(i) => CellKey::Int(*i),
+            Value::Float(x) => CellKey::Float(x.to_bits()),
+            Value::Str(s) => CellKey::Str(s),
+            Value::Time(t) => CellKey::Time(t.as_micros()),
+            Value::Span(s) => CellKey::Span(s.start.as_micros(), s.end.as_micros()),
+            Value::List(_) => return None,
+        })
+    }
+}
+
+/// Whether a sample of `sampled` leading cells, `distinct` of them
+/// different, picks the dict body: at least half the cells repeat.
+fn dict_wins(sampled: usize, distinct: usize) -> bool {
+    sampled > 0 && distinct * 2 <= sampled
+}
+
+/// Whether the sample of `cells` picks the dict body.
+fn prefers_dict<'a>(cells: impl Iterator<Item = &'a [u8]>) -> bool {
+    let mut sampled = 0usize;
+    let mut sample: HashMap<&[u8], ()> = HashMap::with_capacity(DICT_SAMPLE);
+    for cell in cells.take(DICT_SAMPLE) {
+        sampled += 1;
+        sample.insert(cell, ());
+    }
+    dict_wins(sampled, sample.len())
+}
+
+/// The table header for rows of `row_lens` cells each.
+fn put_str_header(out: &mut Vec<u8>, row_lens: impl ExactSizeIterator<Item = usize> + Clone) {
+    let ncols = row_lens.clone().next().unwrap_or(0);
+    let ragged = row_lens.clone().any(|len| len != ncols);
+    out.extend_from_slice(&(row_lens.len() as u32).to_le_bytes());
     out.extend_from_slice(&(ncols as u32).to_le_bytes());
     out.push(ragged as u8);
     if ragged {
-        for r in rows {
-            out.extend_from_slice(&(r.len() as u32).to_le_bytes());
+        for len in row_lens {
+            out.extend_from_slice(&(len as u32).to_le_bytes());
         }
     }
-    let cells = rows.iter().flatten();
-    let mut sampled = 0usize;
-    let mut sample: HashMap<&str, ()> = HashMap::with_capacity(DICT_SAMPLE);
-    for cell in cells.clone().take(DICT_SAMPLE) {
-        sampled += 1;
-        sample.insert(cell.as_str(), ());
-    }
-    // Dict wins when at least half the sampled cells repeat.
-    if sampled > 0 && sample.len() * 2 <= sampled {
-        out.push(STRS_DICT);
-        let mut index: HashMap<&str, u32> = HashMap::new();
-        let mut dict: Vec<&str> = Vec::new();
-        let mut codes: Vec<u32> = Vec::new();
-        for cell in cells {
-            let code = *index.entry(cell.as_str()).or_insert_with(|| {
-                dict.push(cell.as_str());
+}
+
+/// A [`STRS_DICT`] body: the distinct cells in order of first use, then
+/// a code per cell.
+fn put_dict_body<'a>(out: &mut Vec<u8>, cells: impl Iterator<Item = &'a [u8]>) {
+    let mut index: HashMap<&[u8], u32> = HashMap::new();
+    let mut dict: Vec<&[u8]> = Vec::new();
+    let codes: Vec<u32> = cells
+        .map(|cell| {
+            *index.entry(cell).or_insert_with(|| {
+                dict.push(cell);
                 (dict.len() - 1) as u32
-            });
-            codes.push(code);
-        }
-        out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-        for s in &dict {
-            put_str(&mut out, s);
-        }
-        for c in &codes {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
+            })
+        })
+        .collect();
+    put_dict(out, &dict, &codes);
+}
+
+fn put_dict(out: &mut Vec<u8>, dict: &[&[u8]], codes: &[u32]) {
+    out.push(STRS_DICT);
+    out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+    for s in dict {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s);
+    }
+    for c in codes {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+}
+
+/// A [`STRS_PLAIN`] body. Cell lengths first, then one contiguous UTF-8
+/// blob: the decoder validates the whole blob once and slices it,
+/// instead of validating 4-byte-prefixed cells one at a time.
+fn put_plain_body<'a>(out: &mut Vec<u8>, cells: impl Iterator<Item = &'a [u8]> + Clone) {
+    out.push(STRS_PLAIN);
+    let mut blob_len = 0usize;
+    for cell in cells.clone() {
+        out.extend_from_slice(&(cell.len() as u32).to_le_bytes());
+        blob_len += cell.len();
+    }
+    out.extend_from_slice(&(blob_len as u32).to_le_bytes());
+    out.reserve(blob_len);
+    for cell in cells {
+        out.extend_from_slice(cell);
+    }
+}
+
+/// `count` little-endian `u32`s as raw bytes.
+fn take_u32s<'a>(r: &mut Reader<'a>, count: usize) -> Result<&'a [u8], WireError> {
+    r.check_count(count, 4)?;
+    r.take(count * 4)
+}
+
+fn u32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// The sum of `u32`s taken from [`take_u32s`].
+fn sum_u32s(bytes: &[u8]) -> usize {
+    u32s(bytes).fold(0usize, |sum, v| sum.saturating_add(v as usize))
+}
+
+/// Cut an [`encode_str_rows`] table down to its first `n` rows without
+/// rendering or decoding a cell: one encoded answer serves every row
+/// limit. The cut is the table [`encode_str_rows`] makes of
+/// `rows[..n.min(rows.len())]`, byte for byte: a dict body keeps only
+/// the entries the kept codes use, renumbered in order of first use,
+/// and the body format is picked again from the kept cells' sample
+/// (it can change only when fewer cells than the sample are kept).
+/// Time goes with the kept cells and the dict's size, not the table's
+/// cells.
+pub fn str_rows_prefix(table: &[u8], n: usize) -> Result<Vec<u8>, WireError> {
+    let mut r = Reader::new(table);
+    let nrows = r.u32()? as usize;
+    let ncols = r.u32()? as usize;
+    let ragged = r.u8()? != 0;
+    let keep = n.min(nrows);
+    let row_lens = if ragged {
+        Some(take_u32s(&mut r, nrows)?)
     } else {
-        out.push(STRS_PLAIN);
-        // Cell lengths first, then one contiguous UTF-8 blob: the
-        // decoder validates the whole blob once and slices it, instead
-        // of validating 4-byte-prefixed cells one at a time.
-        let mut blob_len = 0usize;
-        for cell in cells.clone() {
-            out.extend_from_slice(&(cell.len() as u32).to_le_bytes());
-            blob_len += cell.len();
+        None
+    };
+    let (cells, kept_cells) = match row_lens {
+        Some(lens) => (sum_u32s(lens), sum_u32s(&lens[..keep * 4])),
+        None => {
+            let cells = nrows
+                .checked_mul(ncols)
+                .ok_or_else(|| WireError::Decode("cell count overflow".into()))?;
+            (cells, keep * ncols)
         }
-        out.extend_from_slice(&(blob_len as u32).to_le_bytes());
-        out.reserve(blob_len);
-        for cell in cells {
-            out.extend_from_slice(cell.as_bytes());
+    };
+    // Called once the body is checked against the table, so what it
+    // reserves is bounded by the table's length.
+    let put_header = |out: &mut Vec<u8>| {
+        out.reserve(16 + 4 * kept_cells + row_lens.map_or(0, |_| 4 * keep));
+        match row_lens {
+            Some(lens) => put_str_header(out, u32s(&lens[..keep * 4]).map(|len| len as usize)),
+            None => put_str_header(out, std::iter::repeat_n(ncols, keep)),
+        }
+    };
+    let format = r.u8()?;
+    let mut out = Vec::new();
+    match format {
+        STRS_PLAIN => {
+            let lens = take_u32s(&mut r, cells)?;
+            let blob_len = r.u32()? as usize;
+            let blob = r.take(blob_len)?;
+            expect_end(&r)?;
+            let kept_lens = &lens[..kept_cells * 4];
+            let kept_blob = blob
+                .get(..sum_u32s(kept_lens))
+                .ok_or_else(|| WireError::Decode("cell lengths exceed the blob".into()))?;
+            let kept = u32s(kept_lens).scan(0usize, move |pos, len| {
+                let start = *pos;
+                *pos += len as usize;
+                Some(&kept_blob[start..*pos])
+            });
+            put_header(&mut out);
+            if prefers_dict(kept.clone()) {
+                put_dict_body(&mut out, kept);
+            } else {
+                out.push(STRS_PLAIN);
+                out.extend_from_slice(kept_lens);
+                out.extend_from_slice(&(kept_blob.len() as u32).to_le_bytes());
+                out.extend_from_slice(kept_blob);
+            }
+        }
+        STRS_DICT => {
+            let dict_len = r.u32()? as usize;
+            r.check_count(dict_len, 4)?;
+            let dict = (0..dict_len)
+                .map(|_| {
+                    let len = r.u32()? as usize;
+                    r.take(len)
+                })
+                .collect::<Result<Vec<&[u8]>, _>>()?;
+            let codes = take_u32s(&mut r, cells)?;
+            expect_end(&r)?;
+            // Keep the entries the kept cells use, numbered as a fresh
+            // encoding numbers them: in order of first use.
+            let mut renumbered = vec![u32::MAX; dict_len];
+            let mut used: Vec<&[u8]> = Vec::new();
+            let mut kept_codes: Vec<u32> = Vec::with_capacity(kept_cells);
+            for code in u32s(&codes[..kept_cells * 4]) {
+                let slot = renumbered
+                    .get_mut(code as usize)
+                    .ok_or_else(|| WireError::Decode(format!("string code {code} out of range")))?;
+                if *slot == u32::MAX {
+                    *slot = used.len() as u32;
+                    used.push(dict[code as usize]);
+                }
+                kept_codes.push(*slot);
+            }
+            // Codes count up from 0 in order of first use, so the
+            // sample's distinct cells number its largest code plus one.
+            let sampled = kept_cells.min(DICT_SAMPLE);
+            let distinct = kept_codes[..sampled]
+                .iter()
+                .max()
+                .map_or(0, |&c| c as usize + 1);
+            put_header(&mut out);
+            if dict_wins(sampled, distinct) {
+                put_dict(&mut out, &used, &kept_codes);
+            } else {
+                put_plain_body(&mut out, kept_codes.iter().map(|&c| used[c as usize]));
+            }
+        }
+        other => {
+            return Err(WireError::Decode(format!(
+                "unknown string-rows format {other}"
+            )))
         }
     }
-    out
+    Ok(out)
+}
+
+fn expect_end(r: &Reader) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        extra => Err(WireError::Decode(format!(
+            "{extra} trailing bytes after the string table"
+        ))),
+    }
 }
 
 /// Decode [`encode_str_rows`].
@@ -580,6 +850,62 @@ mod tests {
             let back = decode_str_rows(&mut Reader::new(&buf)).unwrap();
             assert_eq!(back, rows);
         }
+    }
+
+    #[test]
+    fn prefixes_are_fresh_encodings_of_the_kept_rows() {
+        let dict_heavy: Vec<Vec<String>> = (0..30)
+            .map(|i| vec![format!("rack{}", i % 3), "cab".into()])
+            .collect();
+        let distinct: Vec<Vec<String>> = (0..30)
+            .map(|i| vec![format!("{i}"), format!("höst-{i}")])
+            .collect();
+        let ragged = vec![vec!["a".into()], vec!["b".into(), "c".into()], vec![]];
+        // Distinct first, repetitive after: the whole table is a dict,
+        // a short cut is plain.
+        let mut flips: Vec<Vec<String>> = (0..4).map(|i| vec![format!("x{i}")]).collect();
+        flips.extend((0..40).map(|_| vec!["y".to_string()]));
+        for (rows, format) in [
+            (dict_heavy, STRS_DICT),
+            (distinct, STRS_PLAIN),
+            (ragged, STRS_PLAIN),
+            (flips, STRS_DICT),
+        ] {
+            let table = encode_str_rows(&rows);
+            let nrows = u32::from_le_bytes(table[..4].try_into().unwrap()) as usize;
+            let ragged = table[8] != 0;
+            assert_eq!(table[9 + if ragged { 4 * nrows } else { 0 }], format);
+            for n in 0..=rows.len() + 1 {
+                let kept = &rows[..n.min(rows.len())];
+                let cut = str_rows_prefix(&table, n).unwrap();
+                assert_eq!(cut, encode_str_rows(kept), "{n} rows");
+                assert_eq!(decode_str_rows(&mut Reader::new(&cut)).unwrap(), kept);
+            }
+        }
+        // A cut of a dict table ships only the strings its rows use: two
+        // strings fill the sample, 500 more follow it.
+        let mut late_dict: Vec<Vec<String>> = (0..DICT_SAMPLE)
+            .map(|i| vec![["a", "b"][i % 2].to_string()])
+            .collect();
+        late_dict.extend((0..500).map(|i| vec![format!("node-{i}")]));
+        let table = encode_str_rows(&late_dict);
+        for n in [10, DICT_SAMPLE, DICT_SAMPLE + 7, late_dict.len()] {
+            let cut = str_rows_prefix(&table, n).unwrap();
+            assert_eq!(cut, encode_str_rows(&late_dict[..n]), "{n} rows");
+        }
+        let cut = str_rows_prefix(&table, 10).unwrap();
+        assert!(cut.len() < 100, "{} bytes", cut.len());
+
+        let mut trailing = encode_str_rows(&[vec!["x".to_string()]]);
+        trailing.push(0);
+        assert!(str_rows_prefix(&trailing, 1).is_err());
+        // A header claiming billions of cells over an empty body errors
+        // before the cut allocates for the rows it would keep.
+        let mut bomb = Vec::new();
+        bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        bomb.extend_from_slice(&[0, STRS_DICT, 0, 0, 0, 0]);
+        assert!(str_rows_prefix(&bomb, 6).is_err());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Property tests for the wire codec: every message type round-trips
 //! bit-exactly (including NaN/∞ floats, empty and dict-heavy string
-//! lanes), and corrupt/truncated/oversized frames are rejected without
-//! panicking — the daemon-side guarantee that a bad peer cannot wedge
-//! a connection handler.
+//! lanes), rows rendered on the way encode as their strings do,
+//! string-table prefixes cut exactly, and corrupt/truncated/
+//! oversized frames are rejected without panicking — the daemon-side
+//! guarantee that a bad peer cannot wedge a connection handler.
 
 use proptest::prelude::*;
 use sjcore::units::time::{TimeSpan, Timestamp};
 use sjcore::{ColumnarPartition, Row, Value};
 use sjwire::codec::{
-    decode_partition, decode_rows, decode_str_rows, decode_value, encode_partition, encode_rows,
-    encode_str_rows, encode_value, Reader,
+    decode_partition, decode_rows, decode_str_rows, decode_value, encode_partition,
+    encode_rendered_rows, encode_rows, encode_str_rows, encode_value, str_rows_prefix, Reader,
 };
 use sjwire::{read_frame, write_frame, MsgType};
 
@@ -32,6 +33,20 @@ fn value_from(tag: u8, bits: u64) -> Value {
                 .map(|i| value_from((bits >> (8 * i)) as u8 % 7, bits.rotate_left(i as u32 * 13)))
                 .collect(),
         ),
+    }
+}
+
+/// One rendered cell of a string table in `style`: 0 repeats a small
+/// dict, 1 is distinct per cell (the plain body), 2 is mostly empty
+/// cells, 3 is multi-byte UTF-8.
+fn cell_of(style: u8, i: usize, j: usize, seed: u64) -> String {
+    let x = seed.wrapping_mul(i as u64 + 1).wrapping_add(j as u64);
+    match style % 4 {
+        0 => format!("node-{}", x % 5),
+        1 => format!("{seed:x}/{i}/{j}"),
+        2 if !x.is_multiple_of(3) => String::new(),
+        2 => format!("{}", x % 7),
+        _ => format!("höstlöv-温度-{}-🌡", x % 11),
     }
 }
 
@@ -159,6 +174,73 @@ proptest! {
         prop_assert_eq!(back, rows);
     }
 
+    /// Rows of values encode, rendered on the way, to exactly the table
+    /// their rendered strings make, in either body format. A small pool
+    /// of payloads makes values repeat, and makes distinct values render
+    /// alike (`Int(0)` and `Float(0.0)` both render `0`).
+    #[test]
+    fn rendered_rows_encode_as_their_strings_do(
+        nrows in 0usize..50,
+        ncols in 0usize..5,
+        repeats in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let rows: Vec<Row> = (0..nrows)
+            .map(|i| {
+                Row::new(
+                    (0..ncols)
+                        .map(|j| {
+                            let x = seed.wrapping_mul(31 * i as u64 + j as u64 + 1).rotate_left(17);
+                            value_from((x >> 56) as u8, if repeats { x % 3 } else { x })
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let rendered: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| row.values().iter().map(|v| v.to_string()).collect())
+            .collect();
+        prop_assert_eq!(encode_rendered_rows(&rows, ncols), encode_str_rows(&rendered));
+    }
+
+    /// A cut string table decodes to exactly the first `n` rows, for
+    /// every `n` up to one past the end, in both body formats, and is
+    /// byte for byte the table a fresh encoding of those rows makes (so
+    /// never longer: a cut ships no dict entry its rows do not use);
+    /// every truncation of a cut (of a drawn `n`) errors without
+    /// panicking.
+    #[test]
+    fn str_rows_prefixes_are_exact(
+        nrows in 0usize..40,
+        ncols in 0usize..5,
+        style in any::<u8>(),
+        seed in any::<u64>(),
+    ) {
+        let rows: Vec<Vec<String>> = (0..nrows)
+            .map(|i| (0..ncols).map(|j| cell_of(style, i, j, seed)).collect())
+            .collect();
+        let table = encode_str_rows(&rows);
+        for n in 0..=nrows + 1 {
+            let cut = str_rows_prefix(&table, n).unwrap();
+            let mut r = Reader::new(&cut);
+            let back = decode_str_rows(&mut r).unwrap();
+            prop_assert_eq!(&back[..], &rows[..n.min(nrows)]);
+            prop_assert_eq!(r.remaining(), 0);
+            let fresh = encode_str_rows(&rows[..n.min(nrows)]);
+            prop_assert!(cut.len() <= fresh.len());
+            prop_assert_eq!(cut, fresh);
+        }
+        let n = seed as usize % (nrows + 2);
+        let cut = str_rows_prefix(&table, n).unwrap();
+        for len in 0..cut.len() {
+            prop_assert!(
+                decode_str_rows(&mut Reader::new(&cut[..len])).is_err(),
+                "a cut of {n} rows truncated to {len} bytes decoded"
+            );
+        }
+    }
+
     /// Frames round-trip over every message type; any single-byte
     /// corruption or truncation is rejected, never mis-decoded.
     #[test]
@@ -195,6 +277,7 @@ proptest! {
         let _ = decode_rows(&mut Reader::new(&bytes));
         let _ = decode_partition(&mut Reader::new(&bytes));
         let _ = decode_str_rows(&mut Reader::new(&bytes));
+        let _ = str_rows_prefix(&bytes, bytes.len() % 7);
         let _ = decode_value(&mut Reader::new(&bytes));
     }
 }
