@@ -109,7 +109,15 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Raise the flag under the queue lock: a worker reads it under
+        // that lock before parking, so it either sees the flag or is
+        // already parked when the notify comes. Raised outside, it can
+        // land between a worker's read and its park, and that worker
+        // sleeps through the notify and the join below forever.
+        {
+            let _queue = lock_queue(&self.shared);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         let handles = std::mem::take(
             &mut *self
@@ -204,6 +212,38 @@ mod tests {
         while done.load(Ordering::SeqCst) == 0 {
             assert!(std::time::Instant::now() < deadline, "worker died");
             std::thread::yield_now();
+        }
+    }
+
+    /// A pool dropped while its worker is still starting up must not
+    /// hang. Several threads create and drop one-worker pools; a
+    /// watchdog fails the test instead of letting a lost wakeup hang it.
+    #[test]
+    fn drop_never_loses_the_shutdown_wakeup() {
+        const THREADS: usize = 4;
+        const CYCLES: usize = 15_000;
+        let (done, finished) = std::sync::mpsc::channel();
+        let loops: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..CYCLES {
+                        drop(WorkerPool::new(1));
+                    }
+                    done.send(()).expect("the test thread waits for every loop");
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        for _ in 0..THREADS {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(
+                finished.recv_timeout(left).is_ok(),
+                "the create/drop loops did not finish in 30 s: a dropped pool never joined its worker"
+            );
+        }
+        for handle in loops {
+            handle.join().expect("create/drop loop");
         }
     }
 

@@ -27,8 +27,9 @@
 //! - [`stream`] — streamed fan-out: `subscribe: true` through the
 //!   router opens one upstream subscription per worker reproducing the
 //!   reference plan and merges their (byte-identical) frame streams in
-//!   lockstep; forwarded appends reach every live owner so the fleet's
-//!   accepted prefix matches a single node's.
+//!   lockstep; forwarded appends reach every live owner in one
+//!   fleet-wide order, so the fleet's accepted prefix matches a single
+//!   node's.
 //! - [`chaos`] — seeded whole-worker kill schedules for the chaos
 //!   tests.
 //!

@@ -49,7 +49,7 @@ use sjserve::client::{Client, ClientError};
 use sjserve::front::{Backend, CheckedQuery, Front, JobTrace};
 use sjserve::metrics::{Registry, RouterStatsReport};
 use sjserve::protocol::{
-    codes, CatalogInfo, ErrorBody, HealthReport, PlanInfo, QuerySpec, Request, Response,
+    codes, AppendAck, CatalogInfo, ErrorBody, HealthReport, PlanInfo, QuerySpec, Request, Response,
     SubscriptionAck, Verb,
 };
 use sjserve::scheduler::{Job, SchedulerConfig};
@@ -108,6 +108,9 @@ pub(crate) struct RouterInner {
     pub(crate) metrics: Registry<RouterStatsReport>,
     /// Standing queries routed across the fleet (see [`crate::stream`]).
     pub(crate) streams: RouterStreams,
+    /// One lock per worker, held by the append being forwarded to it:
+    /// the fleet's one append order (see [`RouterBackend::append`]).
+    append_order: Vec<Mutex<()>>,
     heartbeat_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     stop: AtomicBool,
 }
@@ -153,6 +156,7 @@ impl Router {
         }
         let scheduler = config.scheduler.clone();
         let inner = Arc::new(RouterInner {
+            append_order: worker_addrs.iter().map(|_| Mutex::new(())).collect(),
             topology: Topology::new(worker_addrs),
             ctx: ExecCtx::local(),
             plan_cache: PlanCacheLayer::new(),
@@ -575,10 +579,21 @@ impl Backend for RouterBackend {
     }
 
     /// Forward one append batch to **every** live worker holding the
-    /// dataset. The front runs appends on the connection thread, so
-    /// forwarded batches stay ordered per connection: the lockstep frame
-    /// merge depends on every fed worker seeing the same accepted
-    /// prefix. A worker that misses a batch is treated as lost by every
+    /// dataset, in one order the whole fleet shares. The router holds
+    /// the append lock of every live owner, taken in worker order, from
+    /// the first send to the last ack: two appends that reach a common
+    /// worker reach every common worker in the same order, whichever
+    /// connections they came on, and appends to disjoint workers do not
+    /// wait on each other. A worker's watermark spans all its datasets,
+    /// so the order is per worker, not per dataset. Under the locks the
+    /// batch is written to every owner before any ack is read, so the
+    /// replicas ingest it at the same time. Each step that can block
+    /// ends by the deadline plus 500 ms, so a stuck replica holds up the
+    /// appends behind it no longer than that.
+    ///
+    /// The lockstep frame merge depends on every fed worker holding the
+    /// same accepted prefix. A worker that misses a batch, or whose ack
+    /// disagrees with the first owner's, is treated as lost by every
     /// routed subscription it feeds (see [`crate::stream`]).
     fn append(&self, request: &Request, batch: &AppendBatch) -> Response {
         let inner = &self.inner;
@@ -618,25 +633,81 @@ impl Backend for RouterBackend {
             .map(Duration::from_millis)
             .unwrap_or(inner.config.scheduler.default_timeout);
         let deadline = Instant::now() + timeout;
-        let mut ack: Option<Response> = None;
-        let mut worker_error: Option<Response> = None;
-        let mut refused: Vec<usize> = Vec::new();
+        let mut in_lock_order = live.clone();
+        in_lock_order.sort_unstable();
+        let order: Vec<_> = in_lock_order
+            .iter()
+            .map(|&w| inner.append_order[w].lock())
+            .collect();
+        if Instant::now() >= deadline {
+            // Forwarding now could only time out on every owner and cost
+            // each its feeds; forward nothing.
+            return Response::fail(
+                id,
+                ErrorBody::new(
+                    codes::TIMEOUT,
+                    format!(
+                        "append to `{}` passed its deadline waiting for its turn",
+                        batch.dataset
+                    ),
+                ),
+            );
+        }
+        let mut sub = Request::append(id, &request.tenant, batch.clone()).with_proto();
+        sub.bulk = request.bulk;
+        sub.timeout_ms = Some(timeout.as_millis() as u64);
+        let sub_id = |idx: usize| format!("{id}.a{idx}");
         let mut lost: Vec<usize> = Vec::new();
         let mut errors: Vec<String> = Vec::new();
-        let mut forwarded = 0usize;
+        let mut sent: Vec<(usize, Client)> = Vec::with_capacity(live.len());
         for &idx in &live {
-            let mut sub = Request::append(&format!("{id}.a{idx}"), &request.tenant, batch.clone())
-                .with_proto();
-            sub.bulk = request.bulk;
-            sub.timeout_ms = Some(timeout.as_millis() as u64);
-            match dispatch(inner, idx, &sub, deadline) {
-                Ok(resp) if resp.is_ok() && resp.append.is_some() => {
+            sub.id = sub_id(idx);
+            let attempt = Client::connect_timeout(
+                inner.topology.workers[idx].addr.as_str(),
+                &request.tenant,
+                hop_timeout(deadline),
+            )
+            .map_err(ClientError::from)
+            .and_then(|mut client| client.send(&sub).map(|()| client));
+            match attempt {
+                Ok(client) => sent.push((idx, client)),
+                Err(e) => {
+                    errors.push(hop_failed(inner, idx, e));
+                    lost.push(idx);
+                }
+            }
+        }
+        let mut ack: Option<AppendAck> = None;
+        let mut worker_error: Option<Response> = None;
+        let mut refused: Vec<usize> = Vec::new();
+        let mut diverged: Vec<usize> = Vec::new();
+        let mut forwarded = 0usize;
+        for (idx, mut client) in sent {
+            let received = client
+                .set_read_timeout(Some(hop_timeout(deadline)))
+                .map_err(ClientError::from)
+                .and_then(|()| client.receive(&sub_id(idx)));
+            let resp = match received {
+                Ok(resp) => {
+                    inner.topology.record_success(idx);
+                    resp
+                }
+                Err(e) => {
+                    errors.push(hop_failed(inner, idx, e));
+                    lost.push(idx);
+                    continue;
+                }
+            };
+            match resp.append {
+                Some(replica) if resp.is_ok() => {
                     forwarded += 1;
-                    if ack.is_none() {
-                        ack = Some(resp);
+                    match &ack {
+                        None => ack = Some(replica),
+                        Some(first) if !same_prefix(first, &replica) => diverged.push(idx),
+                        Some(_) => {}
                     }
                 }
-                Ok(resp) => {
+                _ => {
                     // A structured refusal: this worker did not ingest
                     // the batch. If others did, its prefix diverged.
                     errors.push(format!(
@@ -652,22 +723,22 @@ impl Backend for RouterBackend {
                     }
                     refused.push(idx);
                 }
-                Err(e) => {
-                    errors.push(e);
-                    lost.push(idx);
-                }
             }
         }
-        inner
-            .metrics
-            .update(|r| r.stream_appends_forwarded += forwarded as u64);
+        drop(order);
+        inner.metrics.update(|r| {
+            r.stream_appends_forwarded += forwarded as u64;
+            r.stream_append_divergences += diverged.len() as u64;
+        });
         // A transport failure means the worker may be gone entirely: its
         // feeds cannot be trusted even if nobody else ingested the batch
         // (retrying the append later would diverge its prefix anyway).
-        for &idx in &lost {
+        // A replica whose ack disagrees with the first ingested the
+        // batch over another prefix: the same.
+        for &idx in lost.iter().chain(&diverged) {
             inner.streams.worker_lost(idx);
         }
-        if forwarded > 0 {
+        if let Some(ack) = ack {
             // Partial ingestion: workers that *refused* the batch while
             // others accepted it can no longer feed lockstep merges
             // either.
@@ -675,9 +746,8 @@ impl Backend for RouterBackend {
                 inner.streams.worker_lost(idx);
             }
             let mut r = Response::ok(id);
-            // Replica acks are identical over an identical accepted
-            // prefix; relay the first.
-            r.append = ack.and_then(|a| a.append);
+            // Replicas that agree send identical acks; relay the first.
+            r.append = Some(ack);
             return r;
         }
         // Nobody ingested it. A structured worker refusal (bad payload,
@@ -912,39 +982,11 @@ fn call_with_failover(
     Err(last_err)
 }
 
-/// One remote call. A transport or framing failure counts against the
-/// worker (possibly marking it down); any parsed response resets its
-/// failure streak.
-fn dispatch(
-    inner: &RouterInner,
-    idx: usize,
-    request: &Request,
-    deadline: Instant,
-) -> Result<Response, String> {
-    let addr = inner.topology.workers[idx].addr.clone();
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    let attempt = (|| -> Result<Response, ClientError> {
-        let mut client = Client::connect_as(addr.as_str(), &request.tenant)?;
-        client.set_read_timeout(Some(remaining + Duration::from_millis(500)))?;
-        client.call(request)
-    })();
-    match attempt {
-        Ok(resp) => {
-            inner.topology.record_success(idx);
-            Ok(resp)
-        }
-        Err(e) => {
-            note_failure(inner, idx);
-            Err(format!("worker {addr}: {e}"))
-        }
-    }
-}
-
-/// [`dispatch`] for a query: the worker's row section stays encoded
+/// One remote query call. A transport or framing failure counts against
+/// the worker (possibly marking it down); any parsed response resets its
+/// failure streak. The worker's row section stays encoded
 /// ([`Client::forward`]), for a single-shard route to pass on whole and
-/// for scatter-gather to decode before its merge. A function of its own
-/// because appends share `dispatch`, and they have nothing to keep
-/// encoded.
+/// for scatter-gather to decode before its merge.
 fn relay(
     inner: &RouterInner,
     idx: usize,
@@ -968,6 +1010,41 @@ fn relay(
             Err(format!("worker {addr}: {e}"))
         }
     }
+}
+
+/// How long one blocking step of a forwarded append may take: until
+/// the append's deadline, plus the slack the query hop's reads get too.
+fn hop_timeout(deadline: Instant) -> Duration {
+    deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(500)
+}
+
+/// A failed connect, send or receive: count it against the worker
+/// (possibly marking it down) and say what failed.
+fn hop_failed(inner: &RouterInner, idx: usize, e: ClientError) -> String {
+    note_failure(inner, idx);
+    format!("worker {}: {e}", inner.topology.workers[idx].addr)
+}
+
+/// Whether two replicas' acks for one batch say they hold the same
+/// accepted prefix: the same rows accepted, dropped late and dropped as
+/// duplicates, and the same watermark. `windows_emitted` is left out: it
+/// counts frames pushed to the worker's own subscribers, so it differs
+/// wherever replicas feed different subscriptions (a replica just
+/// dropped from a routed one, an owner that cannot serve the standing
+/// query), not where their data differs. `invalidated` follows cache
+/// residency.
+fn same_prefix(a: &AppendAck, b: &AppendAck) -> bool {
+    (
+        a.accepted,
+        a.late_dropped,
+        a.duplicates_dropped,
+        a.watermark_us,
+    ) == (
+        b.accepted,
+        b.late_dropped,
+        b.duplicates_dropped,
+        b.watermark_us,
+    )
 }
 
 fn note_failure(inner: &RouterInner, idx: usize) {

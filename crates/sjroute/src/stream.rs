@@ -5,9 +5,14 @@
 //! reference plan (the same routability test batch queries use, so
 //! every fed worker executes byte-identical derivations). Appends
 //! forwarded by the router reach **all** live owners of the dataset in
-//! the same order, so each fed worker sees the same accepted prefix and
-//! — window evaluation being deterministic over that prefix — emits the
-//! same frame sequence a single-node `sjserved` would.
+//! the same order, whichever client connections they came on: the
+//! router holds every live owner's append lock from the first send to
+//! the last ack ([`crate::router::RouterBackend`]'s `append`). So each
+//! fed worker sees the same accepted prefix and — window evaluation
+//! being deterministic over that prefix — emits the same frame sequence
+//! a single-node `sjserved` would. A replica whose ack disagrees with
+//! the first owner's holds another prefix, and is lost like one that
+//! missed the batch.
 //!
 //! The router merges those per-worker frame streams in lockstep: one
 //! reader thread per worker pushes incoming frames onto that worker's
@@ -21,10 +26,10 @@
 //! window.
 //!
 //! Worker loss mid-subscription (a dead feed connection, or an append
-//! forward that failed and therefore broke that worker's accepted
-//! prefix) marks the feed dead: it stops gating the merge and its
-//! queued frames are discarded (the remaining live feeds carry
-//! identical copies). When the *last* feed dies the client gets one
+//! forward that failed or was acked differently and therefore broke
+//! that worker's accepted prefix) marks the feed dead: it stops gating
+//! the merge and its queued frames are discarded (the remaining live
+//! feeds carry identical copies). When the *last* feed dies the client gets one
 //! structured `worker_unavailable` error frame and the subscription is
 //! torn down — degraded, never hung.
 
@@ -143,11 +148,12 @@ impl RouterStreams {
         sub
     }
 
-    /// A forwarded append failed against worker `idx`: its accepted
-    /// prefix has diverged from the fleet's, so every subscription it
-    /// feeds must stop trusting it. Shutting the feed socket makes the
-    /// reader thread observe the loss and run the merge/teardown logic
-    /// on its own path.
+    /// A forwarded append failed against worker `idx`, or its ack
+    /// disagreed with the first owner's: its accepted prefix has
+    /// diverged from the fleet's, so every subscription it feeds must
+    /// stop trusting it. Shutting the feed socket makes the reader
+    /// thread observe the loss and run the merge/teardown logic on its
+    /// own path.
     pub(crate) fn worker_lost(&self, idx: usize) {
         let subs: Vec<Arc<RouterSub>> = self.subs.lock().clone();
         for sub in subs {

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::protocol::{ErrorBody, QuerySpec, Request, Response, Verb, WireInfo};
 use crate::wire::{decode_response, decode_response_relay, encode_request};
@@ -79,7 +79,42 @@ impl Client {
     /// Connect with a tenant name (the fair-queueing bucket). Fails if
     /// the server does not pin the `columnar` codec.
     pub fn connect_as(addr: impl ToSocketAddrs, tenant: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+        Self::handshake(TcpStream::connect(addr)?, tenant)
+    }
+
+    /// [`Client::connect_as`] that gives up after `timeout` (not zero):
+    /// on the TCP connect, and on every read and write from the
+    /// handshake on, so a peer that accepts but never answers cannot
+    /// hold the caller. Reset the read timeout before a later wait.
+    pub fn connect_timeout(
+        addr: impl ToSocketAddrs,
+        tenant: &str,
+        timeout: Duration,
+    ) -> std::io::Result<Client> {
+        let started = Instant::now();
+        let mut last_err = None;
+        for addr in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, timeout) {
+                Ok(stream) => {
+                    let left = timeout
+                        .saturating_sub(started.elapsed())
+                        .max(Duration::from_millis(1));
+                    stream.set_read_timeout(Some(left))?;
+                    stream.set_write_timeout(Some(left))?;
+                    return Self::handshake(stream, tenant);
+                }
+                Err(e) => last_err = Some(e),
+            }
+        }
+        Err(last_err.unwrap_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "address resolved to nothing",
+            )
+        }))
+    }
+
+    fn handshake(stream: TcpStream, tenant: &str) -> std::io::Result<Client> {
         stream.set_nodelay(true).ok();
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
@@ -138,23 +173,37 @@ impl Client {
         format!("{}-{}", self.tenant, self.next_id)
     }
 
-    /// Send one request and block for its response. The response's `id`
-    /// must echo the request's; anything else is a protocol error.
+    /// Send one request and block for its response: [`Client::send`],
+    /// then [`Client::receive`].
+    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        self.send(request)?;
+        self.receive(&request.id)
+    }
+
+    /// Write one request and return without waiting for its response,
+    /// so a caller can put requests on several connections before it
+    /// reads any answer. Read the response with [`Client::receive`].
+    pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        write_frame(&mut self.writer, MsgType::Request, &encode_request(request))?;
+        Ok(())
+    }
+
+    /// Block for the response to the request sent with id `id`. The
+    /// response's `id` must echo it; anything else is a protocol error.
     /// Pushed window frames that arrive first are queued for
     /// [`Client::next_frame`] instead of being misread as the response.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, MsgType::Request, &encode_request(request))?;
+    pub fn receive(&mut self, id: &str) -> Result<Response, ClientError> {
         loop {
             let frame = read_frame(&mut self.reader)?;
             let response = decode_response(&frame.payload)?;
             match frame.msg_type {
-                MsgType::Response if response.id.is_empty() || response.id == request.id => {
+                MsgType::Response if response.id.is_empty() || response.id == id => {
                     return Ok(response)
                 }
                 MsgType::Response => {
                     return Err(ClientError::Protocol(format!(
-                        "response id `{}` does not match request id `{}`",
-                        response.id, request.id
+                        "response id `{}` does not match request id `{id}`",
+                        response.id
                     )))
                 }
                 MsgType::WindowFrame => self.pending.push_back(response),

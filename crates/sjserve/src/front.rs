@@ -9,8 +9,9 @@
 //! counted `ok` or `error` with its latency in the daemon's [`Registry`].
 //! `stats`, `health`, `catalog` and `shutdown` never queue, because
 //! monitoring must answer while the queue is saturated; `append` runs on
-//! the connection thread, which keeps appends ordered per connection
-//! (DESIGN.md §12).
+//! the connection thread, which keeps appends ordered per connection.
+//! The router also orders them across connections: appends that reach a
+//! common worker reach every common worker in one order (DESIGN.md §12).
 //!
 //! What a daemon does with a checked query is its [`Backend`]'s. The
 //! front never asks which daemon it serves: what differs is a backend

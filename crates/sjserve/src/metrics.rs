@@ -460,6 +460,12 @@ pub struct RouterStatsReport {
     /// merge re-forms over the survivors.
     #[serde(default)]
     pub stream_worker_losses: u64,
+    /// Replica acks that disagreed with the first owner's ack for the
+    /// same batch (rows accepted, dropped late or as duplicates, or the
+    /// watermark): each such replica is treated as lost, like one that
+    /// refused the batch.
+    #[serde(default)]
+    pub stream_append_divergences: u64,
     /// Requests the router answered, of every verb (the same count a
     /// worker keeps).
     #[serde(default)]
@@ -513,12 +519,13 @@ impl RouterStatsReport {
         ));
         out.push_str(&format!(
             "streams: {} active, {} frames pushed ({} re-emissions) from {} worker frames, \
-             {} appends forwarded, {} workers lost mid-stream\n",
+             {} appends forwarded ({} acks diverged), {} workers lost mid-stream\n",
             self.streams_active,
             self.stream_frames_pushed,
             self.stream_re_emissions,
             self.stream_worker_frames,
             self.stream_appends_forwarded,
+            self.stream_append_divergences,
             self.stream_worker_losses
         ));
         for w in &self.workers {

@@ -70,7 +70,8 @@ const ROUTER_JSON: &str = concat!(
     r#""route_latency_ms_p99":3.125,"route_latency_ms_max":4.0,"requests_json":0,"#,
     r#""requests_binary":18,"streams_active":19,"stream_frames_pushed":20,"#,
     r#""stream_worker_frames":21,"stream_re_emissions":22,"stream_appends_forwarded":23,"#,
-    r#""stream_worker_losses":24,"requests_total":25,"requests_ok":26,"requests_error":27,"#,
+    r#""stream_worker_losses":24,"stream_append_divergences":29,"requests_total":25,"#,
+    r#""requests_ok":26,"requests_error":27,"#,
     r#""in_flight":28,"workers":[{"addr":"127.0.0.1:7301","shard_id":"shard-0","#,
     r#""healthy":true,"catalog_epoch":48879,"datasets":["node_layout","rack_temps"],"#,
     r#""consecutive_failures":0},{"addr":"127.0.0.1:7302","shard_id":null,"healthy":false,"#,
@@ -103,7 +104,7 @@ failover: 4 markdowns, 5 failovers, 6 epoch invalidations\n\
 route cache: 8 entries (10 bytes), 7 hits, 9 misses, 11 evictions\n\
 route latency: p50 1.50ms, p99 3.12ms, max 4.00ms over 17 requests\n\
 transport: 18 binary requests\n\
-streams: 19 active, 20 frames pushed (22 re-emissions) from 21 worker frames, 23 appends forwarded, 24 workers lost mid-stream\n\
+streams: 19 active, 20 frames pushed (22 re-emissions) from 21 worker frames, 23 appends forwarded (29 acks diverged), 24 workers lost mid-stream\n\
 worker 127.0.0.1:7301 [shard-0] up: epoch 000000000000beef, 2 datasets, 0 consecutive failures\n\
 worker 127.0.0.1:7302 [-] DOWN: epoch 0000000000000000, 0 datasets, 3 consecutive failures\n\
 tenant `alpha`: 11 admitted, 2 rejected, 9 completed\n\

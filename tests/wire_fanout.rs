@@ -2,23 +2,27 @@
 //! through `sjrouted` must deliver the **same frame sequence** a
 //! single-node `sjserved` subscriber would see — byte-identical modulo
 //! the router-minted ids — across every disarray schedule. Also
-//! covered: worker-kill chaos (failover or a structured degraded
-//! teardown, never a hang), bulk backfill parity, the idle-source
-//! watermark timeout, and the wire info and request counters both
-//! daemons report.
+//! covered: one append order on every replica whatever connections the
+//! appends come on, a replica whose ack disagrees leaving the merge,
+//! worker-kill chaos (failover or a structured degraded teardown, never
+//! a hang), bulk backfill parity, the idle-source watermark timeout,
+//! and the wire info and request counters both daemons report.
 
 use sjcore::engine::{EngineConfig, Query, QueryValue};
+use sjcore::{Row, Timestamp, Value};
 use sjdata::{disarray_schedule, stream_catalog, Disarray};
 use sjdf::ExecCtx;
-use sjroute::{Router, RouterBackend, RouterConfig};
-use sjserve::protocol::codes;
+use sjroute::{Ring, Router, RouterBackend, RouterConfig};
+use sjserve::protocol::{codes, Request};
 use sjserve::{
     serve, Client, ClientError, QueryService, QuerySpec, RouterStatsReport, ServerHandle,
     ServiceConfig, ValueSpec,
 };
 use sjstream::{AppendBatch, StreamConfig, StreamEngine};
-use std::net::SocketAddr;
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 42;
 const STEPS: usize = 20;
@@ -305,6 +309,301 @@ fn worker_kill_fails_over_then_degrades_structurally() {
     wait_for_router_stats(&mut appender, |s| s.streams_active == 0);
 
     router.stop();
+}
+
+/// A TCP proxy in front of one worker. Armed, it holds the first
+/// connection it accepts (unanswered, not yet connected upstream) until
+/// a later connection has been relayed to its end, `hold` passes, or
+/// the proxy stops. Every other connection is relayed at once.
+struct HoldingProxy {
+    addr: SocketAddr,
+    armed: Arc<AtomicBool>,
+    /// Signalled when the held connection arrives.
+    holding: mpsc::Receiver<()>,
+    stopping: Arc<AtomicBool>,
+    accept: std::thread::JoinHandle<()>,
+}
+
+impl HoldingProxy {
+    fn start(upstream: SocketAddr, hold: Duration) -> HoldingProxy {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let armed = Arc::new(AtomicBool::new(false));
+        let stopping = Arc::new(AtomicBool::new(false));
+        let (holding_tx, holding) = mpsc::channel();
+        let (completed_tx, completed) = mpsc::channel::<()>();
+        let (flag, stop) = (Arc::clone(&armed), Arc::clone(&stopping));
+        let accept = std::thread::spawn(move || {
+            let mut completed = Some(completed);
+            let mut relays = Vec::new();
+            for conn in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let conn = conn.unwrap();
+                let armed = flag.load(Ordering::SeqCst);
+                if let Some(completed) = completed.take_if(|_| armed) {
+                    holding_tx.send(()).unwrap();
+                    relays.push(std::thread::spawn(move || {
+                        let _ = completed.recv_timeout(hold);
+                        relay(conn, upstream);
+                    }));
+                    continue;
+                }
+                let completed_tx = completed_tx.clone();
+                relays.push(std::thread::spawn(move || {
+                    relay(conn, upstream);
+                    if armed {
+                        let _ = completed_tx.send(());
+                    }
+                }));
+            }
+            // Hung up, the channel ends a hold still running.
+            drop(completed_tx);
+            for relay in relays {
+                relay.join().unwrap();
+            }
+        });
+        HoldingProxy {
+            addr,
+            armed,
+            holding,
+            stopping,
+            accept,
+        }
+    }
+
+    /// Stop accepting, end a hold, and join every relay (the others
+    /// ended when the router and the worker stopped).
+    fn stop(self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        self.accept.join().unwrap();
+    }
+}
+
+/// Copy bytes both ways between `client` and a new connection to
+/// `upstream` until both sides have closed.
+fn relay(client: TcpStream, upstream: SocketAddr) {
+    let Ok(server) = TcpStream::connect(upstream) else {
+        return;
+    };
+    let (mut from_client, mut to_server) =
+        (client.try_clone().unwrap(), server.try_clone().unwrap());
+    let forward = std::thread::spawn(move || {
+        let _ = std::io::copy(&mut from_client, &mut to_server);
+        let _ = to_server.shutdown(Shutdown::Write);
+    });
+    let (mut from_server, mut to_client) = (server, client);
+    let _ = std::io::copy(&mut from_server, &mut to_client);
+    let _ = to_client.shutdown(Shutdown::Write);
+    forward.join().unwrap();
+}
+
+/// Two rows of `dataset` from `source`, with the source clock and the
+/// rows' time both at `secs`.
+fn batch_at(dataset: &str, source: &str, secs: i64) -> AppendBatch {
+    let t = Value::Time(Timestamp::from_micros(secs * 1_000_000));
+    let rows = (0..2)
+        .map(|node| {
+            let mut values = vec![Value::str(format!("cab{node}")), t.clone()];
+            match dataset {
+                "coolant" => values.push(Value::Float(25.0)),
+                _ => values.extend((1..=4).map(|c| Value::Int(c * 1_000))),
+            }
+            Row::new(values)
+        })
+        .collect();
+    AppendBatch {
+        dataset: dataset.into(),
+        source: source.into(),
+        source_clock_us: secs * 1_000_000,
+        rows,
+    }
+}
+
+/// Two appenders on their own connections send `x`, then `y`, whose
+/// rows are late once `x` is in. A proxy holds `x`'s hop to the second
+/// owner of its dataset until `y`'s hop there has finished, or 500 ms
+/// pass. Forwarded in whatever order the two connections run, the held
+/// replica would take `y` before `x` and accept both, while the other
+/// drops `y` as late. In one fleet-wide order both take `x` first.
+fn assert_one_append_order(x: AppendBatch, y: AppendBatch) {
+    let direct = spawn_worker();
+    let proxied = spawn_worker();
+    let proxy = HoldingProxy::start(proxied.addr, Duration::from_millis(500));
+    // Appends reach owners in ring preference order.
+    let second = Ring::new(2).preference(&x.dataset)[1];
+    let mut addrs = vec![direct.addr.to_string(); 2];
+    addrs[second] = proxy.addr.to_string();
+    let router = spawn_router(addrs);
+    proxy.armed.store(true, Ordering::SeqCst);
+
+    let router_addr = router.addr;
+    let first = std::thread::spawn(move || {
+        let mut appender = Client::connect_as(router_addr, "ingest-1").unwrap();
+        appender.append(x).unwrap();
+    });
+    proxy
+        .holding
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the first append reaches the proxy");
+    let late = y.rows.len() as u64;
+    let mut appender = Client::connect_as(router.addr, "ingest-2").unwrap();
+    appender.append(y).unwrap();
+    first.join().unwrap();
+
+    let ingested = |addr: SocketAddr| {
+        let streaming = Client::connect(addr)
+            .unwrap()
+            .stats()
+            .unwrap()
+            .stats
+            .unwrap()
+            .streaming
+            .unwrap();
+        (streaming.rows_accepted, streaming.rows_late_dropped)
+    };
+    let (direct_rows, proxied_rows) = (ingested(direct.addr), ingested(proxied.addr));
+    assert_eq!(
+        direct_rows, proxied_rows,
+        "the replicas ingested the appends in different orders"
+    );
+    assert_eq!(proxied_rows.1, late, "both replicas take `x` first");
+    router.stop();
+    direct.stop();
+    proxied.stop();
+    proxy.stop();
+}
+
+#[test]
+fn two_appenders_reach_both_replicas_in_one_order() {
+    assert_one_append_order(
+        batch_at("coolant", "s1", 1_000),
+        batch_at("coolant", "s1", 100),
+    );
+}
+
+/// A worker's watermark spans all its datasets, so appends to two
+/// datasets on shared replicas need one order too.
+#[test]
+fn appends_to_two_datasets_reach_shared_replicas_in_one_order() {
+    assert_one_append_order(
+        batch_at("coolant", "s1", 1_000),
+        batch_at("papi_counters", "s2", 100),
+    );
+}
+
+/// A replica that accepts an append's connection and never answers
+/// holds that append up only until its deadline plus 500 ms: then the
+/// replica is lost, and the other replica's ack answers. An append that
+/// waited for its turn past its own deadline answers `timeout` and
+/// reaches no worker.
+#[test]
+fn a_stuck_replica_holds_appends_no_longer_than_their_deadline() {
+    let direct = spawn_worker();
+    let stuck = spawn_worker();
+    let proxy = HoldingProxy::start(stuck.addr, Duration::from_secs(10));
+    let router = spawn_router(vec![direct.addr.to_string(), proxy.addr.to_string()]);
+    proxy.armed.store(true, Ordering::SeqCst);
+    let append = |id: &str, timeout_ms: u64| {
+        let mut request =
+            Request::append(id, "ingest", batch_at("coolant", "s1", 1_000)).with_proto();
+        request.timeout_ms = Some(timeout_ms);
+        let mut appender = Client::connect_as(router.addr, "ingest").unwrap();
+        let started = Instant::now();
+        let resp = appender.call(&request).unwrap();
+        (resp, started.elapsed())
+    };
+
+    std::thread::scope(|scope| {
+        let held = scope.spawn(|| append("held", 200));
+        proxy
+            .holding
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the first append reaches the proxy");
+        let (late, _) = append("late", 100);
+        assert_eq!(
+            late.error.as_ref().map(|e| e.code.as_str()),
+            Some(codes::TIMEOUT),
+            "{late:?}"
+        );
+        let (resp, took) = held.join().unwrap();
+        assert!(resp.is_ok() && resp.append.is_some(), "{resp:?}");
+        assert!(
+            took < Duration::from_secs(2),
+            "a stuck replica held a 200 ms append for {took:?}"
+        );
+    });
+    let appends = Client::connect(direct.addr)
+        .unwrap()
+        .stats()
+        .unwrap()
+        .stats
+        .unwrap()
+        .streaming
+        .unwrap()
+        .appends;
+    assert_eq!(appends, 1, "the late append reached a worker");
+    router.stop();
+    direct.stop();
+    stuck.stop();
+    proxy.stop();
+}
+
+/// A replica that took a batch the router never sent holds another
+/// prefix. Its ack for the next routed batch disagrees with the first
+/// owner's, so the router counts one divergence and drops that replica
+/// from the routed subscription. The subscriber's frames still equal a
+/// single node's, from the remaining feed.
+#[test]
+fn a_replica_whose_ack_diverges_leaves_the_merge() {
+    let kind = Disarray::InOrder;
+    let reference = single_node_frames(kind);
+    let schedule = disarray_schedule(kind, SEED, STEPS);
+    assert!(!schedule[0].rows.is_empty());
+
+    let workers = [spawn_worker(), spawn_worker()];
+    let router = spawn_router(workers.iter().map(|w| w.addr.to_string()).collect());
+    let mut sub = subscriber(router.addr);
+    // The second owner of the first batch's dataset takes that batch
+    // straight, so the routed copy is all duplicates there.
+    let second = Ring::new(2).preference(&schedule[0].dataset)[1];
+    Client::connect_as(workers[second].addr, "ingest")
+        .unwrap()
+        .append(schedule[0].clone())
+        .unwrap();
+
+    let mut appender = Client::connect_as(router.addr, "ingest").unwrap();
+    for batch in &schedule {
+        appender.append(batch.clone()).unwrap();
+    }
+    // Not the acks' `windows_emitted`: the router relays the first
+    // owner's ack, and that owner may be the replica that left.
+    let frames: Vec<String> = (0..reference.len())
+        .map(|_| norm_frame(&sub.next_frame().unwrap()))
+        .collect();
+    assert_eq!(
+        frames, reference,
+        "the remaining feed diverged from single-node"
+    );
+    let stats = wait_for_router_stats(&mut appender, |s| {
+        s.stream_worker_losses == 1 && s.stream_frames_pushed as usize >= reference.len()
+    });
+    assert_eq!(
+        stats.stream_frames_pushed as usize,
+        reference.len(),
+        "{stats:?}"
+    );
+    // Once the replica holds the same rows again its acks agree: one
+    // divergence, not one per append.
+    assert_eq!(stats.stream_append_divergences, 1, "{stats:?}");
+    assert_eq!(stats.streams_active, 1, "{stats:?}");
+    drop(sub);
+    router.stop();
+    for worker in workers {
+        worker.stop();
+    }
 }
 
 /// Bulk backfill: `bulk: true` appends ingest without sweeping, and the
