@@ -14,19 +14,25 @@
 //!    [`crate::topology`]), it is forwarded there (single-shard route),
 //!    with one failover retry to the next capable worker in ring order.
 //!    The router decodes only the answer's envelope: the worker's row
-//!    section is relayed as the bytes it came in
-//!    ([`Client::forward`]);
+//!    section is relayed as the bytes it came in;
 //! 3. otherwise the query is split per value dimension, each sub-query
 //!    routed to a worker that locally reproduces *its* reference
-//!    derivation, fanned out concurrently, and the partial tables are
-//!    merged by a natural join on the query's domain columns
-//!    (scatter-gather);
+//!    derivation, sent to every such worker before any answer is read,
+//!    and the partial tables are merged by a natural join on the query's
+//!    domain columns (scatter-gather);
 //! 4. `ok` answers land in a bounded route cache, rows as an encoded
 //!    section, invalidated wholesale whenever any worker's catalog epoch
 //!    changes.
 //!
 //! Every answer the router returns, relayed, merged or cached, carries
 //! the router's own request id and `elapsed_ms`.
+//!
+//! Every hop to a worker (query, append, subscribe, catalog fetch,
+//! health probe) is one `exchange`: a bounded dial, the request sent to
+//! every target, then each answer read. Each step may take the time left
+//! until the request's deadline plus `HOP_SLACK`, or the probe timeout,
+//! so a worker that accepts connections and never answers holds no
+//! caller past that bound, and its failed hops mark it down.
 //!
 //! A background heartbeat probes `health` on every worker: consecutive
 //! failures mark a worker down (routing skips it until it answers
@@ -59,7 +65,7 @@ use sjtrace::Tracer;
 
 use crate::cache::RouteCache;
 use crate::stream::RouterStreams;
-use crate::topology::Topology;
+use crate::topology::{Planning, Topology};
 
 /// Router-wide tuning.
 #[derive(Debug, Clone)]
@@ -77,7 +83,8 @@ pub struct RouterConfig {
     pub fanout_limit: usize,
     /// Heartbeat period.
     pub heartbeat: Duration,
-    /// Read timeout on heartbeat probes and boot-time catalog fetches.
+    /// How long each step of a heartbeat probe or boot-time catalog
+    /// fetch may block (the dial, the send, the read). Not zero.
     pub probe_timeout: Duration,
     /// Consecutive failed calls/probes before a worker is marked down.
     pub markdown_after: u64,
@@ -154,6 +161,9 @@ impl Router {
         if worker_addrs.is_empty() {
             return Err("router needs at least one worker address".into());
         }
+        if config.probe_timeout.is_zero() {
+            return Err("the probe timeout must not be zero".into());
+        }
         let scheduler = config.scheduler.clone();
         let inner = Arc::new(RouterInner {
             append_order: worker_addrs.iter().map(|_| Mutex::new(())).collect(),
@@ -169,8 +179,9 @@ impl Router {
         });
         let mut reachable = 0;
         let mut last_err = String::new();
-        for idx in 0..inner.topology.workers.len() {
-            match fetch_catalog(&inner, idx) {
+        let every: Vec<usize> = (0..inner.topology.workers.len()).collect();
+        for (idx, fetched) in fetch_catalogs(&inner, &every).into_iter().enumerate() {
+            match fetched {
                 Ok(info) => {
                     inner.topology.refresh(idx, info, &inner.ctx);
                     reachable += 1;
@@ -296,26 +307,23 @@ impl Backend for RouterBackend {
         }
 
         inner.metrics.update(|r| r.routed_queries += 1);
-        let cover: Vec<String> = plan.loads().iter().map(|s| s.to_string()).collect();
 
         // Single-shard fast path: some live worker's own catalog derives the
         // whole query with the reference plan. Keyed on the sorted combined
         // cover so the choice among equally capable workers is
         // deterministic per query shape.
-        let cover_key = {
-            let mut sorted = cover.clone();
-            sorted.sort_unstable();
-            sorted.join(",")
-        };
-        let (live, _) =
-            inner
-                .topology
-                .local_solvers(&canonical, &route_engine, plan.fingerprint(), &cover_key);
+        let (live, _) = inner.topology.local_solvers(
+            &canonical,
+            &route_engine,
+            plan.fingerprint(),
+            &cover_key(&plan),
+        );
         if !live.is_empty() {
             let mut sub_spec = spec.clone();
             sub_spec.limit = Some(limit);
             let sub = sub_request(job, &format!("{}.w", job.query_id), sub_spec);
-            return match call_with_failover(inner, &live, &sub, job.deadline, trace) {
+            let answer = query_workers(inner, job, &[(&live, sub)], trace).pop();
+            return match answer.expect("one answer per call") {
                 Ok(mut resp) => {
                     restamp(&mut resp, job);
                     if resp.is_degraded() {
@@ -330,7 +338,7 @@ impl Backend for RouterBackend {
                 }
                 Err(e) => fail(ErrorBody::new(
                     codes::WORKER_UNAVAILABLE,
-                    format!("no worker holding {cover:?} answered: {e}"),
+                    format!("no worker holding {:?} answered: {e}", plan.loads()),
                 )),
             };
         }
@@ -352,30 +360,24 @@ impl Backend for RouterBackend {
             };
             // Reference sub-plan on the combined catalog: what a single
             // process would derive for this value alone.
-            let sub_plan = {
-                let planning = inner.topology.planning();
-                let key = match PlanKey::new(&sub_query, window, step) {
-                    Some(key) => key,
-                    None => unreachable!("knobs validated above"),
-                };
-                match inner.plan_cache.get(&key) {
-                    Some(plan) => plan,
-                    None => {
-                        let engine =
-                            QueryEngine::with_config(&planning.catalog, route_engine.clone());
-                        match engine.solve(&sub_query) {
-                            Ok(plan) => inner.plan_cache.insert(key, plan),
-                            Err(e) => {
-                                return fail(ErrorBody::new(
-                                    codes::NO_ROUTE,
-                                    format!(
-                                        "value `{}` is not derivable on its own: {e}",
-                                        value.dimension
-                                    ),
-                                ))
-                            }
-                        }
-                    }
+            let key = PlanKey::new(&sub_query, window, step).expect("knobs validated above");
+            let planned = cached_plan(
+                inner,
+                &inner.topology.planning(),
+                &sub_query,
+                key,
+                &route_engine,
+            );
+            let sub_plan = match planned {
+                Ok((plan, _)) => plan,
+                Err(e) => {
+                    return fail(ErrorBody::new(
+                        codes::NO_ROUTE,
+                        format!(
+                            "value `{}` is not derivable on its own: {e}",
+                            value.dimension
+                        ),
+                    ))
                 }
             };
             // Routability: which workers reproduce that exact plan from
@@ -444,77 +446,48 @@ impl Backend for RouterBackend {
             inner.metrics.update(|r| r.scatter_gather_queries += 1);
         }
 
-        // Fan out: one thread per group, each with its own failover budget
-        // and its own guest spans.
-        let parent = trace.parent;
-        let results: Vec<(Result<Response, String>, JobTrace)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .iter()
-                .enumerate()
-                .map(|(gi, group)| {
-                    scope.spawn(move || {
-                        let sub_spec = QuerySpec {
-                            domains: spec.domains.clone(),
-                            values: group
-                                .values
-                                .iter()
-                                .map(|&vi| spec.values[vi].clone())
-                                .collect(),
-                            window_secs: Some(window),
-                            step_secs: Some(step),
-                            limit: Some(inner.config.fanout_limit),
-                        };
-                        let sub = sub_request(job, &format!("{}.g{gi}", job.query_id), sub_spec);
-                        let mut trace = JobTrace {
-                            parent,
-                            guests: Vec::new(),
-                        };
-                        // The merge needs the rows: each fan-out thread
-                        // decodes its own partial.
-                        let result = call_with_failover(
-                            inner,
-                            &group.candidates,
-                            &sub,
-                            job.deadline,
-                            &mut trace,
-                        )
-                        .and_then(|mut resp| {
-                            resp.decode_result_rows()
-                                .map_err(|e| format!("undecodable result rows: {e}"))?;
-                            Ok(resp)
-                        });
-                        (result, trace)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fan-out thread"))
-                .collect()
-        });
+        // Fan out: one sub-query per group, every one sent before any
+        // answer is read, each with its own failover retry.
+        let calls: Vec<(&[usize], Request)> = groups
+            .iter()
+            .enumerate()
+            .map(|(gi, group)| {
+                let sub_spec = QuerySpec {
+                    domains: spec.domains.clone(),
+                    values: group
+                        .values
+                        .iter()
+                        .map(|&vi| spec.values[vi].clone())
+                        .collect(),
+                    window_secs: Some(window),
+                    step_secs: Some(step),
+                    limit: Some(inner.config.fanout_limit),
+                };
+                let sub = sub_request(job, &format!("{}.g{gi}", job.query_id), sub_spec);
+                (group.candidates.as_slice(), sub)
+            })
+            .collect();
 
         let mut partials = Vec::new();
         let mut failures: Vec<String> = Vec::new();
         let mut worst_failure: Option<sjdf::FailureReport> = None;
         let mut any_degraded = false;
-        for (gi, (result, sub_trace)) in results.into_iter().enumerate() {
-            trace.guests.extend(sub_trace.guests);
-            match result {
-                Ok(resp) => {
-                    if resp.is_degraded() {
-                        any_degraded = true;
-                    }
-                    if let Some(f) = resp.failure {
-                        worst_failure = Some(f);
-                    }
-                    match resp.result {
+        for (gi, answer) in query_workers(inner, job, &calls, trace)
+            .into_iter()
+            .enumerate()
+        {
+            // The merge needs the rows: decode each partial.
+            let decoded = answer.and_then(|mut resp| match resp.decode_result_rows() {
+                Ok(()) => Ok(resp),
+                Err(e) => Err(format!("undecodable result rows: {e}")),
+            });
+            match decoded {
+                Ok(mut resp) => {
+                    any_degraded |= resp.is_degraded();
+                    worst_failure = resp.failure.take().or(worst_failure);
+                    match resp.result.take() {
                         Some(result) => partials.push(result),
-                        None => failures.push(format!(
-                            "sub-query {gi}: {}",
-                            resp.error
-                                .map(|e| format!("{}: {}", e.code, e.message))
-                                .unwrap_or_else(|| resp.status.clone())
-                        )),
+                        None => failures.push(format!("sub-query {gi}: {}", refusal(&resp))),
                     }
                 }
                 Err(e) => failures.push(format!("sub-query {gi}: {e}")),
@@ -628,11 +601,7 @@ impl Backend for RouterBackend {
                 ),
             );
         }
-        let timeout = request
-            .timeout_ms
-            .map(Duration::from_millis)
-            .unwrap_or(inner.config.scheduler.default_timeout);
-        let deadline = Instant::now() + timeout;
+        let (timeout, deadline) = request_deadline(inner, request);
         let mut in_lock_order = live.clone();
         in_lock_order.sort_unstable();
         let order: Vec<_> = in_lock_order
@@ -653,120 +622,95 @@ impl Backend for RouterBackend {
                 ),
             );
         }
-        let mut sub = Request::append(id, &request.tenant, batch.clone()).with_proto();
+        let mut sub =
+            Request::append(&format!("{id}.a"), &request.tenant, batch.clone()).with_proto();
         sub.bulk = request.bulk;
         sub.timeout_ms = Some(timeout.as_millis() as u64);
-        let sub_id = |idx: usize| format!("{id}.a{idx}");
-        let mut lost: Vec<usize> = Vec::new();
-        let mut errors: Vec<String> = Vec::new();
-        let mut sent: Vec<(usize, Client)> = Vec::with_capacity(live.len());
-        for &idx in &live {
-            sub.id = sub_id(idx);
-            let attempt = Client::connect_timeout(
-                inner.topology.workers[idx].addr.as_str(),
-                &request.tenant,
-                hop_timeout(deadline),
-            )
-            .map_err(ClientError::from)
-            .and_then(|mut client| client.send(&sub).map(|()| client));
-            match attempt {
-                Ok(client) => sent.push((idx, client)),
-                Err(e) => {
-                    errors.push(hop_failed(inner, idx, e));
-                    lost.push(idx);
-                }
-            }
-        }
-        let mut ack: Option<AppendAck> = None;
+        let targets: Vec<(usize, &Request)> = live.iter().map(|&idx| (idx, &sub)).collect();
+        let answers = exchange(inner, &targets, deadline, HOP_SLACK);
+        drop(order);
+        // The acks that agree with the first, in owner order.
+        let mut acks: Vec<(usize, AppendAck)> = Vec::new();
         let mut worker_error: Option<Response> = None;
+        let mut errors: Vec<String> = Vec::new();
+        let mut lost: Vec<usize> = Vec::new();
         let mut refused: Vec<usize> = Vec::new();
-        let mut diverged: Vec<usize> = Vec::new();
-        let mut forwarded = 0usize;
-        for (idx, mut client) in sent {
-            let received = client
-                .set_read_timeout(Some(hop_timeout(deadline)))
-                .map_err(ClientError::from)
-                .and_then(|()| client.receive(&sub_id(idx)));
-            let resp = match received {
-                Ok(resp) => {
-                    inner.topology.record_success(idx);
-                    resp
-                }
+        let mut diverged = 0usize;
+        for (&idx, answer) in live.iter().zip(answers) {
+            let resp = match answer {
+                Ok((_, resp)) => resp,
                 Err(e) => {
-                    errors.push(hop_failed(inner, idx, e));
+                    errors.push(e);
                     lost.push(idx);
                     continue;
                 }
             };
             match resp.append {
-                Some(replica) if resp.is_ok() => {
-                    forwarded += 1;
-                    match &ack {
-                        None => ack = Some(replica),
-                        Some(first) if !same_prefix(first, &replica) => diverged.push(idx),
-                        Some(_) => {}
+                Some(replica) if resp.is_ok() => match acks.first() {
+                    Some((_, first)) if !same_prefix(first, &replica) => {
+                        diverged += 1;
+                        lost.push(idx);
                     }
-                }
+                    _ => acks.push((idx, replica)),
+                },
                 _ => {
                     // A structured refusal: this worker did not ingest
                     // the batch. If others did, its prefix diverged.
-                    errors.push(format!(
-                        "worker {}: {}",
-                        inner.topology.workers[idx].addr,
-                        resp.error
-                            .as_ref()
-                            .map(|e| format!("{}: {}", e.code, e.message))
-                            .unwrap_or_else(|| resp.status.clone())
-                    ));
-                    if worker_error.is_none() {
-                        worker_error = Some(resp);
-                    }
+                    let addr = &inner.topology.workers[idx].addr;
+                    errors.push(format!("worker {addr}: {}", refusal(&resp)));
+                    worker_error.get_or_insert(resp);
                     refused.push(idx);
                 }
             }
         }
-        drop(order);
         inner.metrics.update(|r| {
-            r.stream_appends_forwarded += forwarded as u64;
-            r.stream_append_divergences += diverged.len() as u64;
+            r.stream_appends_forwarded += (acks.len() + diverged) as u64;
+            r.stream_append_divergences += diverged as u64;
         });
         // A transport failure means the worker may be gone entirely: its
         // feeds cannot be trusted even if nobody else ingested the batch
         // (retrying the append later would diverge its prefix anyway).
         // A replica whose ack disagrees with the first ingested the
         // batch over another prefix: the same.
-        for &idx in lost.iter().chain(&diverged) {
-            inner.streams.worker_lost(idx);
+        for &idx in &lost {
+            inner.streams.worker_lost(inner, idx);
         }
-        if let Some(ack) = ack {
-            // Partial ingestion: workers that *refused* the batch while
-            // others accepted it can no longer feed lockstep merges
-            // either.
-            for idx in refused {
-                inner.streams.worker_lost(idx);
+        if acks.is_empty() {
+            // Nobody ingested it. A structured worker refusal (bad
+            // payload, unknown source...) is more useful than a transport
+            // summary.
+            if let Some(mut resp) = worker_error {
+                resp.id = id.clone();
+                return resp;
             }
-            let mut r = Response::ok(id);
-            // Replicas that agree send identical acks; relay the first.
-            r.append = Some(ack);
-            return r;
-        }
-        // Nobody ingested it. A structured worker refusal (bad payload,
-        // unknown source...) is more useful than a transport summary.
-        if let Some(mut resp) = worker_error {
-            resp.id = id.clone();
-            return resp;
-        }
-        Response::fail(
-            id,
-            ErrorBody::new(
-                codes::WORKER_UNAVAILABLE,
-                format!(
-                    "append to `{}` reached no worker: {}",
-                    batch.dataset,
-                    errors.join("; ")
+            return Response::fail(
+                id,
+                ErrorBody::new(
+                    codes::WORKER_UNAVAILABLE,
+                    format!(
+                        "append to `{}` reached no worker: {}",
+                        batch.dataset,
+                        errors.join("; ")
+                    ),
                 ),
-            ),
-        )
+            );
+        }
+        // Partial ingestion: workers that *refused* the batch while
+        // others accepted it can no longer feed lockstep merges either.
+        for &idx in &refused {
+            inner.streams.worker_lost(inner, idx);
+        }
+        // Agreeing replicas hold the same prefix, but `windows_emitted`
+        // counts only the frames a worker pushed to its own subscribers:
+        // relay the ack of an owner that still feeds the routed
+        // subscriptions, if any does.
+        let relayed = acks
+            .iter()
+            .position(|&(idx, _)| inner.streams.feeding(idx))
+            .unwrap_or(0);
+        let mut r = Response::ok(id);
+        r.append = Some(acks.swap_remove(relayed).1);
+        r
     }
 
     /// Register a fleet-wide standing query: subscribe on every live
@@ -783,23 +727,20 @@ impl Backend for RouterBackend {
         let route_engine = query.engine(&inner.config.engine);
         let (canonical, plan, _) =
             solve_reference(inner, &query.query, query.window, query.step, &route_engine)?;
-        let cover: Vec<String> = plan.loads().iter().map(|s| s.to_string()).collect();
-        let cover_key = {
-            let mut sorted = cover.clone();
-            sorted.sort_unstable();
-            sorted.join(",")
-        };
-        let (live, all) =
-            inner
-                .topology
-                .local_solvers(&canonical, &route_engine, plan.fingerprint(), &cover_key);
+        let (live, all) = inner.topology.local_solvers(
+            &canonical,
+            &route_engine,
+            plan.fingerprint(),
+            &cover_key(&plan),
+        );
         if live.is_empty() {
             return Err(if all.is_empty() {
                 ErrorBody::new(
                     codes::NO_ROUTE,
                     format!(
-                        "a standing query over {cover:?} needs a worker reproducing \
-                         the reference derivation locally, and none does"
+                        "a standing query over {:?} needs a worker reproducing \
+                         the reference derivation locally, and none does",
+                        plan.loads()
                     ),
                 )
             } else {
@@ -812,41 +753,40 @@ impl Backend for RouterBackend {
         // Subscribe upstream on every live local solver. Workers that
         // refuse are skipped (and counted against); the merge runs over
         // whoever acked.
+        let (_, deadline) = request_deadline(inner, request);
+        let sub = Request::subscribe(
+            &format!("{query_id}.w"),
+            &request.tenant,
+            query.spec.clone(),
+        )
+        .with_proto();
+        let targets: Vec<(usize, &Request)> = live.iter().map(|&idx| (idx, &sub)).collect();
         let mut feeds: Vec<(usize, Client)> = Vec::new();
         let mut ack: Option<SubscriptionAck> = None;
         let mut errors: Vec<String> = Vec::new();
-        for &idx in &live {
-            let addr = inner.topology.workers[idx].addr.clone();
-            let attempt = (|| -> Result<(Client, SubscriptionAck), String> {
-                let mut client = Client::connect_as(addr.as_str(), &request.tenant)
-                    .map_err(|e| format!("worker {addr}: {e}"))?;
-                let sub = Request::subscribe(
-                    &format!("{query_id}.w{idx}"),
-                    &request.tenant,
-                    query.spec.clone(),
-                )
-                .with_proto();
-                let resp = client
-                    .call(&sub)
-                    .map_err(|e| format!("worker {addr}: {e}"))?;
-                match resp.subscription {
-                    Some(ack) if resp.is_ok() => Ok((client, ack)),
-                    _ => Err(format!(
-                        "worker {addr}: subscribe refused: {}",
-                        resp.error
-                            .map(|e| format!("{}: {}", e.code, e.message))
-                            .unwrap_or(resp.status)
-                    )),
+        let answers = exchange(inner, &targets, deadline, HOP_SLACK);
+        for (&idx, answer) in live.iter().zip(answers) {
+            let (client, resp) = match answer {
+                Ok(answer) => answer,
+                Err(e) => {
+                    errors.push(e);
+                    continue;
                 }
-            })();
-            match attempt {
-                Ok((client, worker_ack)) => {
+            };
+            match resp.subscription {
+                // A feed waits for frames as long as the subscription
+                // lives, not until the subscribe's deadline.
+                Some(worker_ack) if resp.is_ok() && client.set_read_timeout(None).is_ok() => {
                     ack.get_or_insert(worker_ack);
                     feeds.push((idx, client));
                 }
-                Err(e) => {
+                _ => {
                     note_failure(inner, idx);
-                    errors.push(e);
+                    errors.push(format!(
+                        "worker {}: subscribe refused: {}",
+                        inner.topology.workers[idx].addr,
+                        refusal(&resp)
+                    ));
                 }
             }
         }
@@ -891,17 +831,38 @@ fn solve_reference(
     window: f64,
     step: f64,
     route_engine: &EngineConfig,
-) -> Result<(Query, std::sync::Arc<Plan>, bool), ErrorBody> {
+) -> Result<(Query, Arc<Plan>, bool), ErrorBody> {
     let planning = inner.topology.planning();
     let canonical = query.canonicalize(planning.catalog.dict())?;
     let key = PlanKey::new(&canonical, window, step)
         .ok_or_else(|| ErrorBody::new(codes::BAD_REQUEST, "window/step do not form a plan key"))?;
+    let (plan, hit) = cached_plan(inner, &planning, &canonical, key, route_engine)?;
+    Ok((canonical, plan, hit))
+}
+
+/// The plan of canonical `query` (cache key `key`) on the combined
+/// planning catalog, from the plan cache or solved into it: `(plan,
+/// cache hit)`.
+fn cached_plan(
+    inner: &RouterInner,
+    planning: &Planning,
+    query: &Query,
+    key: PlanKey,
+    route_engine: &EngineConfig,
+) -> sjcore::Result<(Arc<Plan>, bool)> {
     if let Some(plan) = inner.plan_cache.get(&key) {
-        return Ok((canonical, plan, true));
+        return Ok((plan, true));
     }
-    let plan =
-        QueryEngine::with_config(&planning.catalog, route_engine.clone()).solve(&canonical)?;
-    Ok((canonical, inner.plan_cache.insert(key, plan), false))
+    let plan = QueryEngine::with_config(&planning.catalog, route_engine.clone()).solve(query)?;
+    Ok((inner.plan_cache.insert(key, plan), false))
+}
+
+/// The sorted datasets `plan` loads, joined: the key that makes the
+/// choice among equally capable workers deterministic per query shape.
+fn cover_key(plan: &Plan) -> String {
+    let mut cover = plan.loads();
+    cover.sort_unstable();
+    cover.join(",")
 }
 
 /// Build the request forwarded to a worker: fresh id under the router's
@@ -931,98 +892,137 @@ fn restamp(resp: &mut Response, job: &Job) {
     }
 }
 
-/// Try candidates in order (primary, then one replica — single-retry
-/// failover), each through [`relay`], so an answer's rows arrive still
-/// encoded. Transport and framing errors advance to the next candidate;
-/// any structured response (ok, degraded, or a worker-side error) is
-/// final and passes through.
-fn call_with_failover(
+/// How long past a request's deadline each step of a hop to a worker may
+/// still block, so a worker that answers just in time is still read.
+const HOP_SLACK: Duration = Duration::from_millis(500);
+
+/// A forwarded request's timeout (its own, else the router's default)
+/// and the deadline it sets from now.
+fn request_deadline(inner: &RouterInner, request: &Request) -> (Duration, Instant) {
+    let timeout = request
+        .timeout_ms
+        .map(Duration::from_millis)
+        .unwrap_or(inner.config.scheduler.default_timeout);
+    (timeout, Instant::now() + timeout)
+}
+
+/// Run query sub-requests, each `(candidates, request)`, in at most two
+/// [`exchange`]s: every call at its first candidate, then each call whose
+/// hop failed at its next one (single-retry failover). A transport or
+/// framing failure advances to the next candidate; any answer (ok,
+/// degraded, or a worker-side error) is final. The rows stay the encoded
+/// section they arrived as, for a single-shard route to pass on whole and
+/// for scatter-gather to decode before its merge. Each attempt is a
+/// `worker_call` span with the worker's own spans grafted under it.
+fn query_workers(
     inner: &RouterInner,
-    candidates: &[usize],
-    request: &Request,
-    deadline: Instant,
+    job: &Job,
+    calls: &[(&[usize], Request)],
     trace: &mut JobTrace,
-) -> Result<Response, String> {
+) -> Vec<Result<Response, String>> {
     let tracer = inner.ctx.tracer();
-    let mut last_err = "no candidate workers".to_string();
-    for (attempt, &idx) in candidates.iter().take(2).enumerate() {
+    let mut answers: Vec<Result<Response, String>> =
+        vec![Err("no candidate workers".to_string()); calls.len()];
+    for attempt in 0..2 {
+        let due: Vec<usize> = (0..calls.len())
+            .filter(|&c| answers[c].is_err() && attempt < calls[c].0.len())
+            .collect();
+        if due.is_empty() {
+            break;
+        }
         if attempt > 0 {
-            inner.metrics.update(|r| r.failovers += 1);
+            inner.metrics.update(|r| r.failovers += due.len() as u64);
         }
-        let mut span = trace
-            .parent
-            .map(|(parent, root)| tracer.child_span("worker_call", parent, root));
-        if let Some(s) = span.as_mut() {
-            s.set_detail(format!(
-                "worker={idx} addr={} attempt={attempt}",
-                inner.topology.workers[idx].addr
-            ));
-        }
-        match relay(inner, idx, request, deadline) {
-            Ok(mut resp) => {
-                let worker_spans = resp.trace.take().and_then(|t| t.spans);
-                if let Some(s) = span.as_mut() {
-                    if !resp.is_ok() {
-                        s.fail();
-                    }
-                    if let Some(spans) = worker_spans {
-                        trace.guests.push((s.id(), spans));
-                    }
+        let targets: Vec<(usize, &Request)> = due
+            .iter()
+            .map(|&c| (calls[c].0[attempt], &calls[c].1))
+            .collect();
+        let spans: Vec<_> = targets
+            .iter()
+            .map(|&(idx, _)| {
+                trace.parent.map(|(parent, root)| {
+                    let mut span = tracer.child_span("worker_call", parent, root);
+                    let addr = &inner.topology.workers[idx].addr;
+                    span.set_detail(format!("worker={idx} addr={addr} attempt={attempt}"));
+                    span
+                })
+            })
+            .collect();
+        let answered = exchange(inner, &targets, job.deadline, HOP_SLACK);
+        for ((&c, span), answer) in due.iter().zip(spans).zip(answered) {
+            let mut answer = answer.map(|(_, resp)| resp);
+            let worker_spans = answer
+                .as_mut()
+                .ok()
+                .and_then(|resp| resp.trace.take()?.spans);
+            if let Some(mut span) = span {
+                if !answer.as_ref().is_ok_and(|resp| resp.is_ok()) {
+                    span.fail();
                 }
-                return Ok(resp);
-            }
-            Err(e) => {
-                if let Some(s) = span.as_mut() {
-                    s.fail();
+                if let Some(spans) = worker_spans {
+                    trace.guests.push((span.id(), spans));
                 }
-                last_err = e;
             }
+            answers[c] = answer;
         }
     }
-    Err(last_err)
+    answers
 }
 
-/// One remote query call. A transport or framing failure counts against
-/// the worker (possibly marking it down); any parsed response resets its
-/// failure streak. The worker's row section stays encoded
-/// ([`Client::forward`]), for a single-shard route to pass on whole and
-/// for scatter-gather to decode before its merge.
-fn relay(
+/// One router→worker exchange, the only way the router talks to a
+/// worker: a bounded dial to every target and its request sent, and only
+/// then each answer read, in target order, so the targets work at the
+/// same time. Each step (connect and handshake, send, read) may block
+/// for the time left until `deadline` plus `slack`, so a worker that
+/// accepts connections and never answers costs its caller no more than
+/// that. An answer of any kind resets its worker's failure streak; a
+/// failed step counts against the worker, possibly marking it down.
+/// Each answer comes with the connection it arrived on.
+fn exchange(
     inner: &RouterInner,
-    idx: usize,
-    request: &Request,
+    targets: &[(usize, &Request)],
     deadline: Instant,
-) -> Result<Response, String> {
-    let addr = inner.topology.workers[idx].addr.clone();
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    let attempt = (|| -> Result<Response, ClientError> {
-        let mut client = Client::connect_as(addr.as_str(), &request.tenant)?;
-        client.set_read_timeout(Some(remaining + Duration::from_millis(500)))?;
-        client.forward(request)
-    })();
-    match attempt {
-        Ok(resp) => {
-            inner.topology.record_success(idx);
-            Ok(resp)
-        }
-        Err(e) => {
-            note_failure(inner, idx);
-            Err(format!("worker {addr}: {e}"))
-        }
+    slack: Duration,
+) -> Vec<Result<(Client, Response), String>> {
+    let step = || deadline.saturating_duration_since(Instant::now()) + slack;
+    let sent: Vec<Result<Client, ClientError>> = targets
+        .iter()
+        .map(|&(idx, request)| {
+            let addr = inner.topology.workers[idx].addr.as_str();
+            let mut client = Client::connect_timeout(addr, "", step())?;
+            client.send(request)?;
+            Ok(client)
+        })
+        .collect();
+    sent.into_iter()
+        .zip(targets)
+        .map(|(sent, &(idx, request))| {
+            let answer = sent.and_then(|mut client| {
+                client.set_read_timeout(Some(step()))?;
+                let response = client.receive(&request.id)?;
+                Ok((client, response))
+            });
+            match answer {
+                Ok(answer) => {
+                    inner.topology.record_success(idx);
+                    Ok(answer)
+                }
+                Err(e) => {
+                    note_failure(inner, idx);
+                    Err(format!("worker {}: {e}", inner.topology.workers[idx].addr))
+                }
+            }
+        })
+        .collect()
+}
+
+/// What a worker's answer says when it is not what was asked for: its
+/// error's code and message, else its status.
+fn refusal(resp: &Response) -> String {
+    match &resp.error {
+        Some(e) => format!("{}: {}", e.code, e.message),
+        None => resp.status.clone(),
     }
-}
-
-/// How long one blocking step of a forwarded append may take: until
-/// the append's deadline, plus the slack the query hop's reads get too.
-fn hop_timeout(deadline: Instant) -> Duration {
-    deadline.saturating_duration_since(Instant::now()) + Duration::from_millis(500)
-}
-
-/// A failed connect, send or receive: count it against the worker
-/// (possibly marking it down) and say what failed.
-fn hop_failed(inner: &RouterInner, idx: usize, e: ClientError) -> String {
-    note_failure(inner, idx);
-    format!("worker {}: {e}", inner.topology.workers[idx].addr)
 }
 
 /// Whether two replicas' acks for one batch say they hold the same
@@ -1056,20 +1056,23 @@ fn note_failure(inner: &RouterInner, idx: usize) {
     }
 }
 
-/// Fetch a worker's `catalog` manifest with the probe timeout.
-fn fetch_catalog(inner: &RouterInner, idx: usize) -> Result<CatalogInfo, String> {
-    let addr = inner.topology.workers[idx].addr.clone();
-    let fetch = (|| -> Result<Response, ClientError> {
-        let mut client = Client::connect_as(addr.as_str(), "")?;
-        client.set_read_timeout(Some(inner.config.probe_timeout))?;
-        client.catalog()
-    })();
-    match fetch {
-        Ok(resp) => resp
-            .catalog
-            .ok_or_else(|| format!("worker {addr}: catalog response without payload")),
-        Err(e) => Err(format!("worker {addr}: {e}")),
-    }
+/// Fetch the `catalog` manifests of `workers` in one exchange, each
+/// step bounded by the probe timeout.
+fn fetch_catalogs(inner: &RouterInner, workers: &[usize]) -> Vec<Result<CatalogInfo, String>> {
+    let request = Request::bare("catalog", Verb::Catalog).with_proto();
+    let targets: Vec<(usize, &Request)> = workers.iter().map(|&idx| (idx, &request)).collect();
+    let answers = exchange(inner, &targets, Instant::now(), inner.config.probe_timeout);
+    workers
+        .iter()
+        .zip(answers)
+        .map(|(&idx, answer)| {
+            let (_, mut resp) = answer?;
+            resp.catalog.take().ok_or_else(|| {
+                let addr = &inner.topology.workers[idx].addr;
+                format!("worker {addr}: no catalog: {}", refusal(&resp))
+            })
+        })
+        .collect()
 }
 
 fn heartbeat_loop(inner: &Arc<RouterInner>) {
@@ -1084,42 +1087,34 @@ fn heartbeat_loop(inner: &Arc<RouterInner>) {
     }
 }
 
-/// One heartbeat pass: probe `health` on every worker. A successful
-/// probe whose epoch moved (or that resurrects a marked-down worker)
-/// triggers a catalog refetch and wholesale cache invalidation; failed
-/// probes count toward mark-down.
+/// One heartbeat pass: probe `health` on every worker in one exchange,
+/// each step bounded by the probe timeout; a failed probe counts toward
+/// mark-down. A probe whose epoch moved (or that resurrects a
+/// marked-down worker) triggers a catalog refetch and wholesale cache
+/// invalidation.
 fn probe_all(inner: &RouterInner) {
-    for idx in 0..inner.topology.workers.len() {
-        let worker = &inner.topology.workers[idx];
-        let addr = worker.addr.clone();
-        let was_healthy = worker.healthy();
-        let known_epoch = worker.epoch();
-        let probe = (|| -> Result<Option<u64>, ClientError> {
-            let mut client = Client::connect_as(addr.as_str(), "")?;
-            client.set_read_timeout(Some(inner.config.probe_timeout))?;
-            let resp = client.health()?;
-            Ok(resp.health.and_then(|h| h.catalog_epoch))
-        })();
-        match probe {
-            Ok(epoch) => {
-                let changed = epoch.is_some_and(|e| e != known_epoch);
-                if was_healthy && !changed {
-                    inner.topology.record_success(idx);
-                    continue;
-                }
-                // Mark-up or epoch change: the shard's contents may
-                // differ from what the planning catalog assumes.
-                if let Ok(info) = fetch_catalog(inner, idx) {
-                    inner.topology.refresh(idx, info, &inner.ctx);
-                    if was_healthy && changed {
-                        inner.metrics.update(|r| r.epoch_invalidations += 1);
-                    }
-                    inner.route_cache.invalidate_all();
-                    inner.plan_cache.clear();
-                }
-            }
-            Err(_) => note_failure(inner, idx),
+    let workers = &inner.topology.workers;
+    let request = Request::bare("probe", Verb::Health).with_proto();
+    let targets: Vec<(usize, &Request)> = (0..workers.len()).map(|idx| (idx, &request)).collect();
+    let answers = exchange(inner, &targets, Instant::now(), inner.config.probe_timeout);
+    // Mark-up or epoch change: the shard's contents may differ from what
+    // the planning catalog assumes.
+    let stale: Vec<usize> = (0..workers.len())
+        .zip(answers)
+        .filter_map(|(idx, answer)| {
+            let epoch = answer.ok()?.1.health.and_then(|h| h.catalog_epoch);
+            let changed = epoch.is_some_and(|e| e != workers[idx].epoch());
+            (!workers[idx].healthy() || changed).then_some(idx)
+        })
+        .collect();
+    for (&idx, fetched) in stale.iter().zip(fetch_catalogs(inner, &stale)) {
+        let Ok(info) = fetched else { continue };
+        if workers[idx].healthy() && info.epoch != workers[idx].epoch() {
+            inner.metrics.update(|r| r.epoch_invalidations += 1);
         }
+        inner.topology.refresh(idx, info, &inner.ctx);
+        inner.route_cache.invalidate_all();
+        inner.plan_cache.clear();
     }
 }
 
@@ -1141,6 +1136,19 @@ mod tests {
             Ok(_) => panic!("expected an unreachable-fleet error"),
         };
         assert!(err.contains("no reachable workers"), "{err}");
+    }
+
+    #[test]
+    fn refuses_a_zero_probe_timeout() {
+        let config = RouterConfig {
+            probe_timeout: Duration::ZERO,
+            ..RouterConfig::default()
+        };
+        let err = match Router::new(vec!["127.0.0.1:1".into()], config) {
+            Err(e) => e,
+            Ok(_) => panic!("expected a zero probe timeout to be refused"),
+        };
+        assert!(err.contains("probe timeout"), "{err}");
     }
 
     #[test]

@@ -151,18 +151,27 @@ impl RouterStreams {
     /// A forwarded append failed against worker `idx`, or its ack
     /// disagreed with the first owner's: its accepted prefix has
     /// diverged from the fleet's, so every subscription it feeds must
-    /// stop trusting it. Shutting the feed socket makes the reader
-    /// thread observe the loss and run the merge/teardown logic on its
-    /// own path.
-    pub(crate) fn worker_lost(&self, idx: usize) {
+    /// stop trusting it. Its feeds leave the merge now, and shutting
+    /// their sockets makes each reader thread run the merge/teardown
+    /// logic on its own path.
+    pub(crate) fn worker_lost(&self, inner: &RouterInner, idx: usize) {
         let subs: Vec<Arc<RouterSub>> = self.subs.lock().clone();
         for sub in subs {
-            for feed in &sub.feeds {
-                if feed.idx == idx && feed.alive() {
-                    let _ = feed.socket.shutdown(Shutdown::Both);
+            for feed in sub.feeds.iter().filter(|f| f.idx == idx) {
+                if feed.alive.swap(false, Ordering::AcqRel) && !sub.closed() {
+                    inner.metrics.update(|r| r.stream_worker_losses += 1);
                 }
+                let _ = feed.socket.shutdown(Shutdown::Both);
             }
         }
+    }
+
+    /// Whether worker `idx` still feeds an open routed subscription.
+    pub(crate) fn feeding(&self, idx: usize) -> bool {
+        self.subs
+            .lock()
+            .iter()
+            .any(|sub| sub.feeds.iter().any(|f| f.idx == idx && f.alive()))
     }
 
     /// The client connection owning `sink` ended: tear down every

@@ -190,48 +190,23 @@ impl Client {
 
     /// Block for the response to the request sent with id `id`. The
     /// response's `id` must echo it; anything else is a protocol error.
-    /// Pushed window frames that arrive first are queued for
-    /// [`Client::next_frame`] instead of being misread as the response.
+    /// Its result rows stay the section they arrived as
+    /// ([`Response::result_rows`]): a router writes them on as they are,
+    /// and [`Client::query`] decodes them. Pushed window frames that
+    /// arrive first are queued for [`Client::next_frame`] instead of
+    /// being misread as the response.
     pub fn receive(&mut self, id: &str) -> Result<Response, ClientError> {
-        loop {
-            let frame = read_frame(&mut self.reader)?;
-            let response = decode_response(&frame.payload)?;
-            match frame.msg_type {
-                MsgType::Response if response.id.is_empty() || response.id == id => {
-                    return Ok(response)
-                }
-                MsgType::Response => {
-                    return Err(ClientError::Protocol(format!(
-                        "response id `{}` does not match request id `{id}`",
-                        response.id
-                    )))
-                }
-                MsgType::WindowFrame => self.pending.push_back(response),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected {other:?} frame while awaiting a response"
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Like [`Client::call`], but the response's result rows stay the
-    /// encoded section they arrived as ([`Response::result_rows`]), for
-    /// a router to write on to its own client without decoding them.
-    pub fn forward(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, MsgType::Request, &encode_request(request))?;
         loop {
             let frame = read_frame(&mut self.reader)?;
             match frame.msg_type {
                 MsgType::Response => {
                     let response = decode_response_relay(&frame.payload)?;
-                    if response.id.is_empty() || response.id == request.id {
+                    if response.id.is_empty() || response.id == id {
                         return Ok(response);
                     }
                     return Err(ClientError::Protocol(format!(
-                        "response id `{}` does not match request id `{}`",
-                        response.id, request.id
+                        "response id `{}` does not match request id `{id}`",
+                        response.id
                     )));
                 }
                 MsgType::WindowFrame => self.pending.push_back(decode_response(&frame.payload)?),
@@ -244,7 +219,8 @@ impl Client {
         }
     }
 
-    /// `query`: execute and return the ok-response, or the server error.
+    /// `query`: execute and return the ok-response, its rows decoded into
+    /// `result.rows`, or the server error.
     pub fn query(
         &mut self,
         spec: QuerySpec,
@@ -274,7 +250,10 @@ impl Client {
         let mut request = Request::query(&id, &self.tenant, spec).with_proto();
         request.timeout_ms = timeout_ms;
         request.trace = if trace { Some(true) } else { None };
-        let response = self.call(&request)?;
+        let mut response = self.call(&request)?;
+        response
+            .decode_result_rows()
+            .map_err(|e| ClientError::Protocol(format!("undecodable result rows: {e}")))?;
         Self::expect_ok(response)
     }
 

@@ -260,8 +260,9 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 }
 
 /// Decode a response but keep its result rows as the section they came
-/// in ([`Response::result_rows`]), unchecked: a router relays them to
-/// its client as they are, and the client's decoder checks them.
+/// in ([`Response::result_rows`]), unchecked: what `Client::receive`
+/// reads. A router relays the section to its client as it is, and the
+/// decoder of whoever reads the rows checks them.
 pub fn decode_response_relay(payload: &[u8]) -> Result<Response, WireError> {
     decode_response_keeping(payload, true)
 }

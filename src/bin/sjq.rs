@@ -79,7 +79,7 @@ impl CliError {
         match self.code.as_str() {
             "usage" | "bad_request" => 2,
             "no_solution" => 3,
-            "queue_full" | "timeout" | "shutdown" | "unavailable" => 4,
+            "queue_full" | "timeout" | "shutdown" | "unavailable" | "worker_unavailable" => 4,
             _ => 1,
         }
     }
@@ -764,6 +764,7 @@ mod tests {
         assert_eq!(CliError::new("queue_full", "").exit_code(), 4);
         assert_eq!(CliError::new("timeout", "").exit_code(), 4);
         assert_eq!(CliError::new("unavailable", "").exit_code(), 4);
+        assert_eq!(CliError::new("worker_unavailable", "").exit_code(), 4);
         assert_eq!(CliError::new("exec_failed", "").exit_code(), 1);
         assert_eq!(CliError::failed("").exit_code(), 1);
     }

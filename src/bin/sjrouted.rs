@@ -66,7 +66,8 @@ SERVE OPTIONS:
   --timeout-ms MS   default per-request deadline (default 30000)
   --heartbeat-ms MS worker health-probe period (default 2000)
   --probe-timeout-ms MS
-                    per-probe read timeout (default 500)
+                    how long each step of a health probe or catalog
+                    fetch may block (default 500, at least 1)
   --markdown-after N
                     consecutive failed probes/calls before a worker is
                     marked down (default 2)
@@ -171,6 +172,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.heartbeat_ms == 0 {
         return Err("--heartbeat-ms must be at least 1".into());
+    }
+    if args.probe_timeout_ms == 0 {
+        return Err("--probe-timeout-ms must be at least 1".into());
     }
     Ok(args)
 }
@@ -322,6 +326,16 @@ mod tests {
         assert!(parse_args(&argv("--workers a:1 --threads 0")).is_err());
         assert!(parse_args(&argv("--workers a:1 --heartbeat-ms 0")).is_err());
         assert!(parse_args(&argv("--workers a:1,b:2")).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_zero_probe_timeout() {
+        let err = match parse_args(&argv("--workers a:1 --probe-timeout-ms 0")) {
+            Err(e) => e,
+            Ok(_) => panic!("a zero probe timeout parsed"),
+        };
+        assert!(err.contains("--probe-timeout-ms"), "{err}");
+        assert!(parse_args(&argv("--workers a:1 --probe-timeout-ms 1")).is_ok());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! covered: one append order on every replica whatever connections the
 //! appends come on, a replica whose ack disagrees leaving the merge,
 //! worker-kill chaos (failover or a structured degraded teardown, never
-//! a hang), bulk backfill parity, the idle-source watermark timeout,
-//! and the wire info and request counters both daemons report.
+//! a hang), a silent solver bounded by a routed subscribe's deadline, a
+//! routed subscription idle past that deadline, bulk backfill parity,
+//! the idle-source watermark timeout, and the wire info and request
+//! counters both daemons report.
 
 use sjcore::engine::{EngineConfig, Query, QueryValue};
 use sjcore::{Row, Timestamp, Value};
@@ -575,11 +577,11 @@ fn a_replica_whose_ack_diverges_leaves_the_merge() {
         .unwrap();
 
     let mut appender = Client::connect_as(router.addr, "ingest").unwrap();
+    let mut emitted = 0usize;
     for batch in &schedule {
-        appender.append(batch.clone()).unwrap();
+        let ack = appender.append(batch.clone()).unwrap().append.unwrap();
+        emitted += ack.windows_emitted;
     }
-    // Not the acks' `windows_emitted`: the router relays the first
-    // owner's ack, and that owner may be the replica that left.
     let frames: Vec<String> = (0..reference.len())
         .map(|_| norm_frame(&sub.next_frame().unwrap()))
         .collect();
@@ -595,10 +597,76 @@ fn a_replica_whose_ack_diverges_leaves_the_merge() {
         reference.len(),
         "{stats:?}"
     );
+    // Each relayed ack comes from an owner that still feeds the
+    // subscription, so the acks count the frames the merge pushed.
+    assert_eq!(emitted, reference.len(), "relayed acks' windows_emitted");
     // Once the replica holds the same rows again its acks agree: one
     // divergence, not one per append.
     assert_eq!(stats.stream_append_divergences, 1, "{stats:?}");
     assert_eq!(stats.streams_active, 1, "{stats:?}");
+    drop(sub);
+    router.stop();
+    for worker in workers {
+        worker.stop();
+    }
+}
+
+/// A routed subscribe whose solvers include one that accepts the
+/// connection and never answers is acked within its deadline plus a
+/// second: the hop to the silent solver gives up, and the subscription
+/// runs on the other.
+#[test]
+fn a_silent_solver_holds_a_routed_subscribe_no_longer_than_its_deadline() {
+    let direct = spawn_worker();
+    let silent = spawn_worker();
+    let proxy = HoldingProxy::start(silent.addr, Duration::from_secs(10));
+    let router = spawn_router(vec![direct.addr.to_string(), proxy.addr.to_string()]);
+    proxy.armed.store(true, Ordering::SeqCst);
+    let mut sub = Client::connect_as(router.addr, "tenant-a").unwrap();
+    sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut request = Request::subscribe("s1", "tenant-a", joined_spec()).with_proto();
+    request.timeout_ms = Some(500);
+    let started = Instant::now();
+    let resp = sub.call(&request).unwrap();
+    let took = started.elapsed();
+    assert!(resp.is_ok() && resp.subscription.is_some(), "{resp:?}");
+    assert!(
+        took < Duration::from_millis(1_500),
+        "a silent solver held a 500 ms subscribe for {took:?}"
+    );
+    drop(sub);
+    router.stop();
+    direct.stop();
+    silent.stop();
+    proxy.stop();
+}
+
+/// A routed subscription outlives its subscribe's deadline: its feeds
+/// wait for frames as long as it lives. Idle past that deadline plus the
+/// hop slack, it still gets every frame a single node's subscriber
+/// gets, from both feeds.
+#[test]
+fn an_idle_routed_subscription_outlives_its_subscribe_deadline() {
+    let kind = Disarray::InOrder;
+    let reference = single_node_frames(kind);
+    let workers = [spawn_worker(), spawn_worker()];
+    let router = spawn_router(workers.iter().map(|w| w.addr.to_string()).collect());
+    let mut sub = Client::connect_as(router.addr, "tenant-a").unwrap();
+    sub.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut request = Request::subscribe("s1", "tenant-a", joined_spec()).with_proto();
+    request.timeout_ms = Some(200);
+    let resp = sub.call(&request).unwrap();
+    assert!(resp.subscription.is_some(), "{resp:?}");
+    std::thread::sleep(Duration::from_secs(1));
+
+    let mut appender = Client::connect_as(router.addr, "ingest").unwrap();
+    let schedule = disarray_schedule(kind, SEED, STEPS);
+    let frames = run_and_collect(&mut appender, &mut sub, &schedule);
+    assert_eq!(frames, reference, "the idle subscription's frames");
+    let stats = wait_for_router_stats(&mut appender, |s| {
+        s.stream_frames_pushed as usize >= reference.len()
+    });
+    assert_eq!(stats.stream_worker_losses, 0, "{stats:?}");
     drop(sub);
     router.stop();
     for worker in workers {
